@@ -1,8 +1,10 @@
 #include "train/grad_accum.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
+#include "train/mixed_precision.hpp"
 #include "util/fp16.hpp"
 
 namespace mlpo {
@@ -33,10 +35,18 @@ void GradAccumulator::accumulate(u32 id, std::span<const u16> grads_fp16,
   if (grads_fp16.size() != buf.size()) {
     throw std::invalid_argument("GradAccumulator::accumulate: size mismatch");
   }
+  // Decode both operands a block at a time, add in FP32, re-encode.
   const auto add_range = [&](u64 begin, u64 end) {
-    for (u64 i = begin; i < end; ++i) {
-      const f32 sum = Fp16::decode(buf[i]) + Fp16::decode(grads_fp16[i]);
-      buf[i] = Fp16::encode(sum);
+    std::array<f32, kConvertBlock> sum;
+    std::array<f32, kConvertBlock> add;
+    for (u64 i = begin; i < end; i += kConvertBlock) {
+      const std::size_t n = std::min<u64>(kConvertBlock, end - i);
+      const std::span<u16> stored(buf.data() + i, n);
+      const std::span<f32> sums(sum.data(), n);
+      fp16_to_fp32(stored, sums);
+      fp16_to_fp32(grads_fp16.subspan(i, n), std::span<f32>(add.data(), n));
+      for (std::size_t j = 0; j < n; ++j) sums[j] += add[j];
+      fp32_to_fp16(sums, stored);
     }
   };
   if (pool == nullptr) {
@@ -52,19 +62,7 @@ std::span<const u16> GradAccumulator::fp16(u32 id) const {
 
 void GradAccumulator::upscale_into(u32 id, std::span<f32> out,
                                    ThreadPool* pool) const {
-  const auto& buf = buffers_.at(id);
-  if (out.size() != buf.size()) {
-    throw std::invalid_argument("GradAccumulator::upscale_into: size mismatch");
-  }
-  const auto convert = [&](u64 begin, u64 end) {
-    fp16_to_fp32(std::span<const u16>(buf).subspan(begin, end - begin),
-                 out.subspan(begin, end - begin));
-  };
-  if (pool == nullptr) {
-    convert(0, buf.size());
-  } else {
-    pool->parallel_for(buf.size(), convert);
-  }
+  upscale_fp16_to_fp32(buffers_.at(id), out, pool);
 }
 
 void GradAccumulator::reset() {

@@ -21,19 +21,4 @@ void upscale_fp16_to_fp32(std::span<const u16> src, std::span<f32> dst,
   });
 }
 
-void downscale_fp32_to_fp16(std::span<const f32> src, std::span<u16> dst,
-                            ThreadPool* pool) {
-  if (src.size() != dst.size()) {
-    throw std::invalid_argument("downscale: size mismatch");
-  }
-  if (pool == nullptr) {
-    fp32_to_fp16(src, dst);
-    return;
-  }
-  pool->parallel_for(src.size(), [&](u64 begin, u64 end) {
-    fp32_to_fp16(src.subspan(begin, end - begin),
-                 dst.subspan(begin, end - begin));
-  });
-}
-
 }  // namespace mlpo

@@ -18,10 +18,6 @@ namespace mlpo {
 void upscale_fp16_to_fp32(std::span<const u16> src, std::span<f32> dst,
                           ThreadPool* pool = nullptr);
 
-/// Parallel FP32 -> FP16 downscale with round-to-nearest-even.
-void downscale_fp32_to_fp16(std::span<const f32> src, std::span<u16> dst,
-                            ThreadPool* pool = nullptr);
-
 /// Cost model for conversions in the scaled-time emulation: converting
 /// sim_bytes of FP32 output at `throughput` bytes per virtual second.
 struct ConvertCost {

@@ -1,8 +1,10 @@
 #include "util/fp16.hpp"
 
 #include <bit>
-#include <chrono>
-#include <vector>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace mlpo {
 
@@ -32,7 +34,9 @@ inline f32 decode_bits(u16 h) {
       out = sign | ((127 - 15 - e + 1) << 23) | (m << 13);
     }
   } else if (exp == 0x1Fu) {
-    out = sign | 0x7F800000u | (man << 13);  // inf / nan (payload preserved)
+    // Inf, or NaN with its payload kept and the quiet bit set.
+    const u32 quiet = man ? 0x400000u : 0;
+    out = sign | 0x7F800000u | quiet | (man << 13);
   } else {
     out = sign | ((exp - 15 + 127) << 23) | (man << 13);
   }
@@ -80,32 +84,65 @@ inline u16 encode_bits(f32 value) {
   return static_cast<u16>(half);
 }
 
+void encode_scalar(const f32* src, u16* dst, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) dst[i] = encode_bits(src[i]);
+}
+
+void decode_scalar(const u16* src, f32* dst, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) dst[i] = decode_bits(src[i]);
+}
+
+#if defined(__x86_64__)
+
+__attribute__((target("f16c,avx"))) void encode_f16c(const f32* src, u16* dst,
+                                                     std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 v = _mm256_loadu_ps(src + i);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
+                     _mm256_cvtps_ph(v, _MM_FROUND_TO_NEAREST_INT));
+  }
+  encode_scalar(src + i, dst + i, n - i);
+}
+
+__attribute__((target("f16c,avx"))) void decode_f16c(const u16* src, f32* dst,
+                                                     std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m128i h =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
+    _mm256_storeu_ps(dst + i, _mm256_cvtph_ps(h));
+  }
+  decode_scalar(src + i, dst + i, n - i);
+}
+
+bool has_f16c() {
+  static const bool supported = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("f16c") && __builtin_cpu_supports("avx");
+  }();
+  return supported;
+}
+
+#endif
+
 }  // namespace
 
 u16 Fp16::encode(f32 value) { return encode_bits(value); }
 f32 Fp16::decode(u16 bits) { return decode_bits(bits); }
 
 void fp32_to_fp16(std::span<const f32> src, std::span<u16> dst) {
-  const std::size_t n = src.size();
-  for (std::size_t i = 0; i < n; ++i) dst[i] = encode_bits(src[i]);
+#if defined(__x86_64__)
+  if (has_f16c()) return encode_f16c(src.data(), dst.data(), src.size());
+#endif
+  encode_scalar(src.data(), dst.data(), src.size());
 }
 
 void fp16_to_fp32(std::span<const u16> src, std::span<f32> dst) {
-  const std::size_t n = src.size();
-  for (std::size_t i = 0; i < n; ++i) dst[i] = decode_bits(src[i]);
-}
-
-f64 measure_fp16_to_fp32_throughput(u64 elems) {
-  std::vector<u16> src(elems);
-  std::vector<f32> dst(elems);
-  for (u64 i = 0; i < elems; ++i) src[i] = static_cast<u16>(i * 2654435761u);
-  const auto t0 = std::chrono::steady_clock::now();
-  fp16_to_fp32(src, dst);
-  const auto t1 = std::chrono::steady_clock::now();
-  const f64 secs = std::chrono::duration<f64>(t1 - t0).count();
-  // Throughput counted in FP32 output bytes, matching how the paper quotes
-  // its 65 GB/s conversion figure.
-  return secs > 0 ? static_cast<f64>(elems * sizeof(f32)) / secs : 0.0;
+#if defined(__x86_64__)
+  if (has_f16c()) return decode_f16c(src.data(), dst.data(), src.size());
+#endif
+  decode_scalar(src.data(), dst.data(), src.size());
 }
 
 }  // namespace mlpo

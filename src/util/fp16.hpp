@@ -1,15 +1,23 @@
-// Software IEEE-754 binary16 ("half") support.
+// IEEE-754 binary16 ("half") support.
 //
 // Mixed-precision training keeps two copies of the model: FP16 for the
 // forward/backward passes and FP32 master weights for the optimizer. The
 // offloading engine therefore needs fast, correct FP16<->FP32 conversion
 // kernels (paper §3.2, "delayed in-place mixed-precision gradient
-// conversion"). We implement binary16 in software so the library has no
-// hardware half-float dependency; the bulk kernels are written so compilers
-// auto-vectorise them.
+// conversion").
+//
+// `Fp16::encode`/`Fp16::decode` are portable scalar bit-manipulation
+// routines and the reference for every conversion in the library. The bulk
+// kernels `fp32_to_fp16`/`fp16_to_fp32` pick their implementation once per
+// process: on x86-64 hosts whose CPU reports F16C and AVX they convert eight
+// lanes per instruction (`vcvtps2ph` with round-to-nearest-even, and
+// `vcvtph2ps`), finishing any tail with the scalar routines; everywhere else
+// they run the scalar routines throughout. Only those two functions are
+// compiled for F16C, so no ISA flag reaches the rest of the library. Both
+// paths produce the same bits for every input (tests/fp16_test.cpp).
 #pragma once
 
-#include <cstring>
+#include <cstddef>
 #include <span>
 
 #include "util/common.hpp"
@@ -17,7 +25,8 @@
 namespace mlpo {
 
 /// Bit-level IEEE-754 binary16 value. Round-to-nearest-even on conversion
-/// from float; overflow saturates to +/-inf like hardware F16C does.
+/// from float; overflow saturates to +/-inf and NaNs come out quiet, as
+/// hardware F16C does.
 class Fp16 {
  public:
   Fp16() = default;
@@ -42,12 +51,16 @@ class Fp16 {
 
   /// Encode a float to binary16 bits (round-to-nearest-even).
   static u16 encode(f32 value);
-  /// Decode binary16 bits to float (exact).
+  /// Decode binary16 bits to float (exact; a signalling NaN is quieted).
   static f32 decode(u16 bits);
 
  private:
   u16 bits_ = 0;
 };
+
+/// Elements per stack block for code that produces or consumes values one at
+/// a time but converts them through the bulk kernels.
+inline constexpr std::size_t kConvertBlock = 1024;
 
 /// Bulk FP32 -> FP16 conversion ("downscale"). dst and src must have equal
 /// length.
@@ -56,11 +69,5 @@ void fp32_to_fp16(std::span<const f32> src, std::span<u16> dst);
 /// Bulk FP16 -> FP32 conversion ("upscale"). dst and src must have equal
 /// length.
 void fp16_to_fp32(std::span<const u16> src, std::span<f32> dst);
-
-/// In-place FP16 -> FP32 upscale into a caller-provided scratch that aliases
-/// the engine's working buffer. Returns the achieved throughput in bytes of
-/// FP32 output per second (used to seed the performance model's conversion
-/// cost, paper reports ~65 GB/s on Testbed-1).
-f64 measure_fp16_to_fp32_throughput(u64 elems);
 
 }  // namespace mlpo

@@ -1,9 +1,13 @@
-// FP16 software implementation: exhaustive decode/encode roundtrip over the
-// full 16-bit space, rounding behaviour, special values, and bulk kernels.
+// FP16 conversion: exhaustive decode/encode roundtrip over the full 16-bit
+// space, rounding behaviour, special values, and the bulk kernels against the
+// scalar reference.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <span>
 #include <vector>
 
 #include "util/fp16.hpp"
@@ -102,24 +106,101 @@ TEST(Fp16, EncodeMatchesNearestRepresentable) {
   }
 }
 
-TEST(Fp16, BulkKernelsMatchScalar) {
-  std::vector<f32> src;
-  for (int i = 0; i < 10000; ++i) src.push_back(std::sin(i * 0.01f) * 100.0f);
-  std::vector<u16> half(src.size());
-  fp32_to_fp16(src, half);
+// The bulk kernels must reproduce the scalar reference bit for bit, whichever
+// implementation the host selected. Each check also writes into a span at an
+// odd offset with a sentinel on either side, so unaligned stores and any
+// write past the span's ends show up.
+constexpr u16 kSentinel = 0xBEEF;
+
+::testing::AssertionResult EncodeMatchesScalar(std::span<const f32> src) {
+  std::vector<u16> out(src.size() + 2, kSentinel);
+  fp32_to_fp16(src, std::span<u16>(out).subspan(1, src.size()));
   for (std::size_t i = 0; i < src.size(); ++i) {
-    EXPECT_EQ(half[i], Fp16::encode(src[i])) << i;
+    const u16 expect = Fp16::encode(src[i]);
+    if (out[i + 1] != expect) {
+      return ::testing::AssertionFailure()
+             << std::hex << "f32 0x" << std::bit_cast<u32>(src[i])
+             << ": bulk 0x" << out[i + 1] << ", scalar 0x" << expect;
+    }
   }
-  std::vector<f32> back(src.size());
-  fp16_to_fp32(half, back);
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    EXPECT_EQ(back[i], Fp16::decode(half[i])) << i;
+  if (out.front() != kSentinel || out.back() != kSentinel) {
+    return ::testing::AssertionFailure()
+           << "wrote outside a " << src.size() << "-element span";
   }
+  return ::testing::AssertionSuccess();
 }
 
-TEST(Fp16, ThroughputMeasurementRuns) {
-  const f64 thru = measure_fp16_to_fp32_throughput(1 << 16);
-  EXPECT_GT(thru, 0.0);
+::testing::AssertionResult DecodeMatchesScalar(std::span<const u16> src) {
+  const f32 sentinel = Fp16::decode(kSentinel);
+  std::vector<f32> out(src.size() + 2, sentinel);
+  fp16_to_fp32(src, std::span<f32>(out).subspan(1, src.size()));
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    const u32 expect = std::bit_cast<u32>(Fp16::decode(src[i]));
+    if (std::bit_cast<u32>(out[i + 1]) != expect) {
+      return ::testing::AssertionFailure()
+             << std::hex << "f16 0x" << src[i] << ": bulk 0x"
+             << std::bit_cast<u32>(out[i + 1]) << ", scalar 0x" << expect;
+    }
+  }
+  if (out.front() != sentinel || out.back() != sentinel) {
+    return ::testing::AssertionFailure()
+           << "wrote outside a " << src.size() << "-element span";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(Fp16, BulkKernelsMatchScalar) {
+  // Every half, signalling NaNs included.
+  std::vector<u16> halves(1u << 16);
+  std::iota(halves.begin(), halves.end(), u16{0});
+  EXPECT_TRUE(DecodeMatchesScalar(halves));
+
+  // Every (sign, f32 exponent, top-10 mantissa bits), with the 13 bits a
+  // normal half drops set at, one below and one above the rounding midpoint,
+  // and at both ends. At the half-subnormal exponents the midpoint moves up
+  // into the top-10 bits, so the same sweep hits it there too.
+  std::vector<f32> grid;
+  grid.reserve(2 * 256 * 1024 * 6);
+  for (u32 sign = 0; sign < 2; ++sign) {
+    for (u32 exp = 0; exp < 256; ++exp) {
+      for (u32 top = 0; top < 1024; ++top) {
+        for (const u32 low : {0x0000u, 0x0001u, 0x0FFFu, 0x1000u, 0x1001u,
+                              0x1FFFu}) {
+          grid.push_back(std::bit_cast<f32>((sign << 31) | (exp << 23) |
+                                            (top << 13) | low));
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(EncodeMatchesScalar(grid));
+
+  // The overflow edge, infinities, and quiet and signalling NaN payloads.
+  std::vector<f32> specials;
+  for (const f32 x : {65504.0f, std::nextafter(65520.0f, 0.0f), 65520.0f,
+                      std::nextafter(65520.0f, 1e9f),
+                      std::numeric_limits<f32>::infinity()}) {
+    specials.push_back(x);
+    specials.push_back(-x);
+  }
+  for (const u32 nan : {0x7FC00000u, 0x7FC00001u, 0x7FFFFFFFu, 0x7F800001u,
+                        0x7F802000u, 0x7FBFFFFFu, 0xFFC00000u, 0xFF800001u}) {
+    specials.push_back(std::bit_cast<f32>(nan));
+  }
+  EXPECT_TRUE(EncodeMatchesScalar(specials));
+
+  // Lengths that run only the scalar tail, exactly one vector, and one
+  // vector plus a tail; then long spans from an odd element offset (for the
+  // grid, inside the binade of 1.0).
+  for (const std::size_t len : {0, 1, 7, 8, 9}) {
+    EXPECT_TRUE(EncodeMatchesScalar(std::span(specials).first(len))) << len;
+    EXPECT_TRUE(DecodeMatchesScalar(std::span(halves).subspan(0x7BFB, len)))
+        << len;
+  }
+  EXPECT_TRUE(EncodeMatchesScalar(std::span(specials).subspan(1)));
+  const std::size_t binade_of_one = 127 * 1024 * 6;
+  EXPECT_TRUE(
+      EncodeMatchesScalar(std::span(grid).subspan(binade_of_one + 1, 1001)));
+  EXPECT_TRUE(DecodeMatchesScalar(std::span(halves).subspan(1, 1001)));
 }
 
 }  // namespace

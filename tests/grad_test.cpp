@@ -2,6 +2,8 @@
 // kernels.
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "train/grad_accum.hpp"
 #include "train/grad_source.hpp"
 #include "train/mixed_precision.hpp"
@@ -48,6 +50,34 @@ TEST(GradSource, Fp32MatchesUpscaledFp16) {
   EXPECT_EQ(full, upscaled);
 }
 
+// FNV-1a over the little-endian bytes of each value's bits.
+u64 fnv1a(u64 hash, u32 bits, int bytes) {
+  for (int b = 0; b < bytes; ++b) {
+    hash ^= (bits >> (8 * b)) & 0xFFu;
+    hash *= 0x100000001B3ull;
+  }
+  return hash;
+}
+
+TEST(GradSource, StreamIsPinned) {
+  // Recorded from the per-element scalar generator. Every equivalence and
+  // recovery checksum is built on this stream, so it must never move. 5000
+  // elements end in a partial conversion block.
+  GradSource src;
+  std::vector<u16> half(5000);
+  std::vector<f32> full(5000);
+  src.generate_fp16(1, 7, 3, half);
+  src.generate_fp32(1, 7, 3, full);
+  u64 half_hash = 0xCBF29CE484222325ull;
+  for (const u16 h : half) half_hash = fnv1a(half_hash, h, 2);
+  u64 full_hash = 0xCBF29CE484222325ull;
+  for (const f32 f : full) {
+    full_hash = fnv1a(full_hash, std::bit_cast<u32>(f), 4);
+  }
+  EXPECT_EQ(half_hash, 0x5F95E6147030C825ull);
+  EXPECT_EQ(full_hash, 0xA4D0B358CDDB5BB0ull);
+}
+
 TEST(GradSource, ValuesAreSmallAndCentred) {
   GradSource src;
   std::vector<f32> g(10000);
@@ -79,19 +109,28 @@ TEST(GradAccumulator, AccumulateSums) {
   }
 }
 
-TEST(GradAccumulator, AccumulateParallelMatchesSerial) {
+TEST(GradAccumulator, AccumulateMatchesScalarReference) {
+  // Bit for bit against per-element decode + add + encode, serial and
+  // pooled, over a length that ends in a partial conversion block. The first
+  // elements overflow to inf, add subnormals, and make a NaN from inf - inf.
   ThreadPool pool(4);
   GradAccumulator serial(1, 5000), parallel(1, 5000);
   GradSource src;
-  std::vector<u16> g(5000);
-  src.generate_fp16(0, 0, 0, g);
-  serial.store(0, g);
-  parallel.store(0, g);
-  src.generate_fp16(0, 0, 1, g);
-  serial.accumulate(0, g, nullptr);
-  parallel.accumulate(0, g, &pool);
+  std::vector<u16> a(5000), b(5000);
+  src.generate_fp16(0, 0, 0, a);
+  src.generate_fp16(0, 0, 1, b);
+  a[0] = b[0] = 0x7BFF;
+  a[1] = b[1] = 0x0001;
+  a[2] = 0x7C00;
+  b[2] = 0xFC00;
+  serial.store(0, a);
+  parallel.store(0, a);
+  serial.accumulate(0, b, nullptr);
+  parallel.accumulate(0, b, &pool);
   for (std::size_t i = 0; i < 5000; ++i) {
-    EXPECT_EQ(serial.fp16(0)[i], parallel.fp16(0)[i]) << i;
+    const u16 expect = Fp16::encode(Fp16::decode(a[i]) + Fp16::decode(b[i]));
+    ASSERT_EQ(serial.fp16(0)[i], expect) << i;
+    ASSERT_EQ(parallel.fp16(0)[i], expect) << i;
   }
 }
 
@@ -137,7 +176,7 @@ TEST(MixedPrecision, UpscaleDownscaleRoundtripExactForFp16Values) {
   std::vector<f32> full(1000);
   upscale_fp16_to_fp32(half, full, &pool);
   std::vector<u16> back(1000);
-  downscale_fp32_to_fp16(full, back, &pool);
+  fp32_to_fp16(full, back);
   EXPECT_EQ(back, half);
 }
 
@@ -145,7 +184,6 @@ TEST(MixedPrecision, SizeMismatchThrows) {
   std::vector<u16> half(4);
   std::vector<f32> full(5);
   EXPECT_THROW(upscale_fp16_to_fp32(half, full), std::invalid_argument);
-  EXPECT_THROW(downscale_fp32_to_fp16(full, half), std::invalid_argument);
 }
 
 TEST(MixedPrecision, ConvertCostScalesLinearly) {
