@@ -183,20 +183,20 @@ void OffloadEngine::initialize() {
                                        sg.params());
     const std::size_t path = placement_->path_for(id);
     // Pooled staging: acquire may block once >16 writes are in flight, but
-    // the channel threads drain independently of this submitter, so the
+    // the writes complete independently of this submitter, so the
     // backpressure resolves itself.
     auto buf = std::make_shared<BufferPool::Lease>(
         scratch_->acquire(sg.serialized_bytes()));
     sg.serialize(buf->bytes());
     poison_host_state(sg);
-    const u64 sim = sg.sim_state_bytes();
 
-    IoRequest req = IoRequest::tier_write(state_key(id), path, sim,
+    IoRequest req = IoRequest::tier_write(state_key(id), path,
+                                          sg.sim_state_bytes(),
                                           IoPriority::kCheckpoint);
-    req.work = [buf, sim, key = req.key](IoChannel& chan) -> u64 {
-      chan.write(key, buf->bytes(), sim);
-      return sim;
-    };
+    req.src = buf->bytes();
+    // The hook owns the staging lease; the scheduler drops it once the
+    // write has settled, whatever the outcome.
+    req.on_complete = [buf](const IoResult&) {};
     batch.add(submit_io(std::move(req)));
   }
   batch.wait_all();
@@ -242,19 +242,14 @@ void OffloadEngine::deposit_gradients_async(u64 sample_index, u32 subgroup_id,
     // its own bytes/time — this request reports only the link transfer.
     if (!opts_.delayed_grad_conversion && final_micro_step) {
       ctx_.clock->sleep_for(opts_.convert.seconds_for_params(sim_params));
-      auto fp32 = std::make_shared<BufferPool::Lease>(
-          scratch_->acquire(real_elems * sizeof(f32)));
-      accum_->upscale_into(subgroup_id, fp32->as<f32>(), ctx_.cpu_pool);
+      BufferPool::Lease fp32 = scratch_->acquire(real_elems * sizeof(f32));
+      accum_->upscale_into(subgroup_id, fp32.as<f32>(), ctx_.cpu_pool);
 
-      const std::size_t path = placement_->path_for(subgroup_id);
-      const u64 grad_sim = sim_params * kFp32Bytes;
       IoRequest flush = IoRequest::tier_write(
-          grad_key(subgroup_id), path, grad_sim, IoPriority::kGradDeposit);
-      flush.work = [fp32, grad_sim, key = flush.key](IoChannel& chan) -> u64 {
-        chan.write(key, fp32->bytes(), grad_sim);
-        return grad_sim;
-      };
-      submit_io(std::move(flush)).get();
+          grad_key(subgroup_id), placement_->path_for(subgroup_id),
+          sim_params * kFp32Bytes, IoPriority::kGradDeposit);
+      flush.src = fp32.bytes();
+      submit_io(std::move(flush)).get();  // lease outlives the wait
     }
     return sim_params * kFp16Bytes;
   };
@@ -329,11 +324,8 @@ std::future<void> OffloadEngine::flush_subgroup_async(
 
   IoRequest req = IoRequest::tier_write(state_key(id), path, sim,
                                         IoPriority::kLazyFlush);
-  req.work = [buf, sim, key = req.key](IoChannel& chan) -> u64 {
-    chan.write(key, buf->bytes(), sim);
-    return sim;
-  };
-  req.on_complete = [this, id, path, sim, traces](const IoResult& r) {
+  req.src = buf->bytes();
+  req.on_complete = [this, buf, id, path, sim, traces](const IoResult& r) {
     placement_->observe(path, sim, r.service_seconds, r.queue_wait_seconds);
     if (traces != nullptr) {
       (*traces)[id].write_seconds += r.service_seconds;
@@ -590,11 +582,16 @@ IterationReport OffloadEngine::run_update_linear(u64 iteration) {
 // Graph execution mode (EngineOptions::execution == "graph").
 //
 // The iteration becomes a DAG: per subgroup a fetch -> compute -> {h2d,
-// flush} chain, with the update-order position as the tie-break rank among
-// ready nodes. Compared to the linear pipeline there is no prefetch window
-// and no flush backpressure: every root fetch is queued on the IoScheduler
-// at once (the scheduler sees the full frontier and coalesces/prioritizes
-// across it), and compute overlaps freely on the work-stealing pool.
+// flush} chain, ranked by update-order position. The rank is a run-wide
+// priority: flush:k, released when update:k finishes, starts ahead of every
+// later-ranked compute already waiting, so each lazy flush overlaps the
+// updates after it (Alg. 1) instead of bunching up at the end of the
+// phase. Compared to the linear pipeline there is no prefetch window and no
+// flush backpressure: every root fetch is queued on the IoScheduler at once
+// (the scheduler sees the full frontier and coalesces/prioritizes across
+// it), and compute overlaps freely on the work-stealing pool. Flush writes
+// are plain span transfers, so an async tier keeps many of them in flight
+// and settles each on its real completion.
 //
 // Bit-identity with the linear pipeline (held to by the equivalence suite):
 // per-subgroup Adam math touches only that subgroup's state and gradients,
@@ -743,7 +740,6 @@ void OffloadEngine::graph_h2d(TaskContext& tc, UpdateSlot& slot) {
 void OffloadEngine::graph_flush(TaskContext& tc, UpdateSlot& slot,
                                 std::vector<SubgroupTrace>& traces) {
   u32 victim = slot.id;
-  std::shared_ptr<BufferPool::Lease> buf;
   std::size_t buf_bytes = 0;
   // Acquire the staging lease BEFORE graph_mutex_: a blocking acquire
   // under the lock could deadlock against an earlier flush whose settle
@@ -770,7 +766,7 @@ void OffloadEngine::graph_flush(TaskContext& tc, UpdateSlot& slot,
     cache_.erase(victim);
     graph_pending_flush_[victim];
   }
-  buf = std::make_shared<BufferPool::Lease>(std::move(lease));
+  const auto buf = std::make_shared<BufferPool::Lease>(std::move(lease));
 
   auto done = tc.defer();
   const auto drain = [this, victim] {
@@ -793,11 +789,9 @@ void OffloadEngine::graph_flush(TaskContext& tc, UpdateSlot& slot,
     const u64 sim = subgroups_[victim]->sim_state_bytes();
     IoRequest req = IoRequest::tier_write(state_key(victim), path, sim,
                                           IoPriority::kLazyFlush);
-    req.work = [buf, buf_bytes, sim, key = req.key](IoChannel& chan) -> u64 {
-      chan.write(key, std::span<const u8>(buf->data(), buf_bytes), sim);
-      return sim;
-    };
-    req.on_complete = [this, victim, path, sim, &traces](const IoResult& r) {
+    req.src = std::span<const u8>(buf->data(), buf_bytes);
+    req.on_complete = [this, buf, victim, path, sim,
+                       &traces](const IoResult& r) {
       placement_->observe(path, sim, r.service_seconds, r.queue_wait_seconds);
       traces[victim].write_seconds += r.service_seconds;
       traces[victim].sim_bytes_written += sim;
@@ -966,13 +960,10 @@ void OffloadEngine::restore_state(u32 id, std::span<const u8> serialized) {
   // authoritative copy and any cached state is dropped. Checkpoint-class
   // traffic: it must not starve demand fetches of a concurrent update.
   const std::size_t path = placement_->path_for(id);
-  const u64 sim = sg.sim_state_bytes();
-  IoRequest req = IoRequest::tier_write(state_key(id), path, sim,
+  IoRequest req = IoRequest::tier_write(state_key(id), path,
+                                        sg.sim_state_bytes(),
                                         IoPriority::kCheckpoint);
-  req.work = [serialized, sim, key = req.key](IoChannel& chan) -> u64 {
-    chan.write(key, serialized, sim);
-    return sim;
-  };
+  req.src = serialized;
   submit_io(std::move(req)).get();  // span only lives until return
   poison_host_state(sg);
   host_valid_[id] = 0;

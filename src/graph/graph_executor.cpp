@@ -17,6 +17,10 @@ struct TaskContext::RunState {
   CondVar done_cv;
   std::vector<u32> pending MLPO_GUARDED_BY(mutex);   ///< in-degree left
   std::vector<u8> finished MLPO_GUARDED_BY(mutex);   ///< double-finish guard
+  /// Released, not yet started nodes: a min-heap on (order_rank, id) shared
+  /// by the whole run, so rank orders every ready node — not only the ones
+  /// released together.
+  std::vector<u32> ready MLPO_GUARDED_BY(mutex);
   std::size_t remaining MLPO_GUARDED_BY(mutex) = 0;  ///< unfinished nodes
   u64 frontier MLPO_GUARDED_BY(mutex) = 0;  ///< released, not finished
   u64 frontier_high_water MLPO_GUARDED_BY(mutex) = 0;
@@ -26,6 +30,25 @@ struct TaskContext::RunState {
 
   std::atomic<bool> cancelled{false};
   std::function<void()> on_cancel;  ///< fired once, outside mutex
+
+  /// Heap order: lower (order_rank, id) on top.
+  bool starts_after(u32 a, u32 b) const {
+    const u64 ra = graph->node(a).order_rank;
+    const u64 rb = graph->node(b).order_rank;
+    return ra != rb ? ra > rb : a > b;
+  }
+  void release(u32 id) MLPO_REQUIRES(mutex) {
+    ready.push_back(id);
+    std::push_heap(ready.begin(), ready.end(),
+                   [this](u32 a, u32 b) { return starts_after(a, b); });
+  }
+  u32 take_best() MLPO_REQUIRES(mutex) {
+    std::pop_heap(ready.begin(), ready.end(),
+                  [this](u32 a, u32 b) { return starts_after(a, b); });
+    const u32 id = ready.back();
+    ready.pop_back();
+    return id;
+  }
 };
 
 bool TaskContext::cancelled() const {
@@ -47,25 +70,28 @@ std::function<void(std::exception_ptr)> TaskContext::defer() {
   };
 }
 
-void GraphExecutor::dispatch(TaskContext::RunState& st,
-                             std::vector<u32> ready) {
-  // Lower order_rank enters the deques first — the UpdateOrderPolicy as a
-  // tie-break among ready nodes, not a serialization.
-  std::sort(ready.begin(), ready.end(), [&st](u32 a, u32 b) {
-    const auto& na = st.graph->nodes_[a];
-    const auto& nb = st.graph->nodes_[b];
-    return na.order_rank != nb.order_rank ? na.order_rank < nb.order_rank
-                                          : a < b;
-  });
-  for (const u32 id : ready) {
+void GraphExecutor::dispatch(TaskContext::RunState& st, std::size_t count) {
+  // One pool task per released node, but a task is not bound to the node
+  // whose release queued it: it runs whichever ready node ranks best when
+  // it starts. The heap holds exactly as many nodes as tasks not yet
+  // started, so every task finds one — and, being unfinished, that node
+  // keeps run() (and st) alive while the task runs.
+  for (std::size_t i = 0; i < count; ++i) {
     // try_submit, not submit: on the shutdown path (a cancelled run
     // unwinding while the pool is being torn down) the pool may already
     // be stopping — the node then runs inline on this thread, where the
     // cancelled flag skips its work and only the bookkeeping happens.
-    if (!st.pool->try_submit([&st, id] { exec_node(st, id); })) {
-      exec_node(st, id);
-    }
+    if (!st.pool->try_submit([&st] { run_next(st); })) run_next(st);
   }
+}
+
+void GraphExecutor::run_next(TaskContext::RunState& st) {
+  u32 id = 0;
+  {
+    MutexLock lock(st.mutex);
+    id = st.take_best();
+  }
+  exec_node(st, id);
 }
 
 void GraphExecutor::exec_node(TaskContext::RunState& st, u32 id) {
@@ -105,7 +131,7 @@ void GraphExecutor::exec_node(TaskContext::RunState& st, u32 id) {
 
 void GraphExecutor::finish_node(TaskContext::RunState& st, u32 id,
                                 std::exception_ptr error) {
-  std::vector<u32> ready;
+  std::size_t released = 0;
   bool fire_cancel = false;
   {
     MutexLock lock(st.mutex);
@@ -118,13 +144,16 @@ void GraphExecutor::finish_node(TaskContext::RunState& st, u32 id,
     }
     --st.frontier;
     for (const u32 to : st.graph->nodes_[id].out) {
-      if (--st.pending[to] == 0) ready.push_back(to);
+      if (--st.pending[to] == 0) {
+        st.release(to);
+        ++released;
+      }
     }
-    st.frontier += ready.size();
+    st.frontier += released;
     st.frontier_high_water = std::max(st.frontier_high_water, st.frontier);
   }
   if (fire_cancel) st.on_cancel();
-  dispatch(st, std::move(ready));
+  dispatch(st, released);
   // The remaining-count decrement is the LAST touch of st: once it hits
   // zero run() may wake, return, and destroy st, so nothing below this
   // block may reference it. notify fires under the lock for the same
@@ -149,7 +178,7 @@ GraphExecutor::Stats GraphExecutor::run(const TaskGraph& graph,
   st.pool = pool_;
   st.on_cancel = std::move(on_cancel);
 
-  std::vector<u32> roots;
+  std::size_t roots = 0;
   {
     MutexLock lock(st.mutex);
     const auto n = static_cast<u32>(graph.node_count());
@@ -158,12 +187,15 @@ GraphExecutor::Stats GraphExecutor::run(const TaskGraph& graph,
     st.remaining = n;
     for (u32 id = 0; id < n; ++id) {
       st.pending[id] = graph.nodes_[id].in_degree;
-      if (st.pending[id] == 0) roots.push_back(id);
+      if (st.pending[id] == 0) {
+        st.release(id);
+        ++roots;
+      }
     }
-    st.frontier = roots.size();
+    st.frontier = roots;
     st.frontier_high_water = st.frontier;
   }
-  dispatch(st, std::move(roots));
+  dispatch(st, roots);
 
   std::exception_ptr error;
   {

@@ -1,8 +1,11 @@
 // Topological scheduler for TaskGraph over a WorkStealingPool.
 //
-// run() releases every zero-in-degree node (sorted by order_rank — the
-// UpdateOrderPolicy's tie-break) onto the pool, and each completing node
-// releases the dependents it was the last blocker for. IO nodes call
+// run() releases every zero-in-degree node, and each completing node
+// releases the dependents it was the last blocker for. Released nodes wait
+// in one ready min-heap per run, keyed on (order_rank, node id): order_rank
+// is a run-wide priority, so whenever a pool worker picks up work it starts
+// the best-ranked node that is ready *now* — a flush released late still
+// runs ahead of every higher-ranked compute already waiting. IO nodes call
 // TaskContext::defer() to complete asynchronously from an
 // IoRequest::on_settle hook instead of blocking a worker, so the whole
 // ready frontier of transfers is queued on the IoScheduler at once.
@@ -89,7 +92,10 @@ class GraphExecutor {
  private:
   friend class TaskContext;
 
-  static void dispatch(TaskContext::RunState& st, std::vector<u32> ready);
+  /// Queue `count` pool tasks, one per node just released.
+  static void dispatch(TaskContext::RunState& st, std::size_t count);
+  /// Pool task body: pop the best-ranked ready node and execute it.
+  static void run_next(TaskContext::RunState& st);
   static void exec_node(TaskContext::RunState& st, u32 id);
   static void finish_node(TaskContext::RunState& st, u32 id,
                           std::exception_ptr error);

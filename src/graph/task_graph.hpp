@@ -48,9 +48,9 @@ class TaskGraph {
   struct Node {
     NodeKind kind = NodeKind::kCompute;
     std::string label;
-    /// Tie-breaking priority among simultaneously-ready nodes (lower runs
+    /// Priority among ready nodes, across the whole run (lower runs
     /// first). Engines derive it from the UpdateOrderPolicy's position, so
-    /// the policy steers — but no longer serializes — the schedule.
+    /// the policy steers — but does not serialize — the schedule.
     u64 order_rank = 0;
     NodeWork work;  ///< empty = pure barrier node (completes immediately)
     std::vector<u32> out;  ///< dependents (edges leave this node)

@@ -126,6 +126,12 @@ struct IoRequest {
   /// channel's direction lock already held; issue transfers through the
   /// channel only. Returns the simulated bytes moved (for stats and the
   /// bandwidth EMA). When set, the simple-payload spans are ignored.
+  /// Use it only for operations that are more than one transfer (fetch +
+  /// deserialize, read + erase): it blocks the dispatch thread, so an
+  /// async-capable tier runs it at queue depth 1. A plain transfer sets
+  /// `src`/`dst` instead and lets the scheduler issue it asynchronously;
+  /// a staging buffer behind the span can ride in `on_complete`, which is
+  /// destroyed once the request settles on every path.
   std::function<u64(IoChannel&)> work{};
 
   /// Invoked on the dispatch thread after a successful (non-cancelled,

@@ -509,7 +509,7 @@ void IoScheduler::run_batch(ChannelQueue& q,
       const f64 start = item_start;
       std::shared_ptr<Pending> pending(p.release());
       auto on_done = [this, pending, lease, pri, tenant, queue_wait_async,
-                      start](std::exception_ptr error) {
+                      start](std::exception_ptr error) mutable {
         const f64 service = std::max(0.0, clock_->now() - start);
         const u64 moved = effective_bytes(pending->req);
         {
@@ -541,6 +541,12 @@ void IoScheduler::run_batch(ChannelQueue& q,
           }
         }
         settle(*pending, std::move(error));
+        // Once finish_one counts this request, drain() may return and the
+        // owners may destroy the scheduler and the virtual tier (whose
+        // TierLock the lease holds) while the backend is still unwinding
+        // this callback — so drop both first.
+        pending.reset();
+        lease.reset();
         finish_one(tenant);
       };
       IoRequest& req = pending->req;
@@ -683,11 +689,11 @@ void IoScheduler::settle_error(Pending& pending, std::exception_ptr error) {
 }
 
 void IoScheduler::finish_one(u32 tenant) {
-  {
-    MutexLock lk(drain_mutex_);
-    settled_.fetch_add(1, std::memory_order_release);
-    ++tenant_settled_[tenant];
-  }
+  // Notify under the lock: an async completion thread is not joined by the
+  // destructor, which may run as soon as drain() sees this count.
+  MutexLock lk(drain_mutex_);
+  settled_.fetch_add(1, std::memory_order_release);
+  ++tenant_settled_[tenant];
   drain_cv_.notify_all();
 }
 

@@ -75,16 +75,16 @@ AsyncFileBackend::AsyncFileBackend(const Options& options)
   }
 }
 
+void AsyncFileBackend::wait_idle() {
+  MutexLock lk(drain_mutex_);
+  while (in_flight_.load(std::memory_order_acquire) != 0) drain_cv_.wait(lk);
+}
+
 AsyncFileBackend::~AsyncFileBackend() {
   // Wait for every completion callback to have finished before stopping
   // the service threads — callers may capture state they free right after
   // this destructor returns.
-  {
-    MutexLock lk(drain_mutex_);
-    while (in_flight_.load(std::memory_order_acquire) != 0) {
-      drain_cv_.wait(lk);
-    }
-  }
+  wait_idle();
   if (using_uring()) {
     {
       MutexLock lk(ring_mutex_);

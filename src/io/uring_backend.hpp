@@ -71,6 +71,11 @@ class AsyncFileBackend {
   u32 queue_depth() const { return depth_; }
   u64 in_flight() const { return in_flight_.load(std::memory_order_acquire); }
 
+  /// Block until no op is in flight. An op leaves in_flight() only after
+  /// its completion callback has returned, so a caller that has merely
+  /// observed every callback fire must wait here before expecting 0.
+  void wait_idle();
+
   /// Positional read of `len` bytes at `offset`. Short transfers resubmit
   /// internally; completion reports the full length or an errno. A nonzero
   /// `min_len` < len marks the tail as optional — the O_DIRECT case of

@@ -3,13 +3,15 @@
 // few long compute nodes).
 //
 // Layout: one deque per worker, each under its own small Mutex. A worker
-// pops its *own* deque from the front (FIFO for locality with the
-// submission order, which the executor sorts by update-order-policy rank)
-// and steals from the *back* of a victim's deque when its own runs dry —
+// pops its *own* deque from the front (FIFO in submission order) and
+// steals from the *back* of a victim's deque when its own runs dry —
 // the classic Chase-Lev discipline, implemented with plain annotated
 // mutexes instead of lock-free buffers because graph nodes are coarse
 // (microseconds to milliseconds) and the PR-6 thread-safety analysis must
 // see every acquisition.
+// The pool itself does not order by priority: the graph executor queues
+// interchangeable "run the best ready node" tasks and keeps the priority
+// order in its own per-run heap, so FIFO here never delays a better node.
 //
 // Parking: a single global Mutex + CondVar guards the total queued count
 // and the stopping flag. Submissions check stopping_ and bump the count

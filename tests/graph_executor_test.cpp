@@ -329,6 +329,55 @@ TEST(GraphExecutor, ReusableAcrossRuns) {
   }
 }
 
+TEST(GraphExecutor, LateReleasedLowRankStartsBeforeQueuedHigherRanks) {
+  // Both workers are held in gate nodes while three high-rank nodes wait
+  // ready. A low-rank node is then released by a deferred completion; when
+  // one worker is let go, it must start the low-rank node, not the nodes
+  // that were queued before it.
+  WorkStealingPool pool(2);
+  GraphExecutor exec(pool);
+  OrderRecorder rec;
+  TaskGraph g;
+
+  std::promise<std::function<void(std::exception_ptr)>> deferred;
+  std::promise<void> open_first;
+  std::promise<void> open_second;
+  const std::shared_future<void> first = open_first.get_future().share();
+  const std::shared_future<void> second = open_second.get_future().share();
+  std::atomic<int> gated{0};
+
+  const u32 io = g.add_node(NodeKind::kFetch, "io", 0, [&](TaskContext& tc) {
+    deferred.set_value(tc.defer());
+  });
+  for (const auto& gate : {first, second}) {
+    g.add_node(NodeKind::kCompute, "gate", 1, [&gated, gate](TaskContext&) {
+      ++gated;
+      gate.wait();
+    });
+  }
+  constexpr u32 kLow = 100;
+  const u32 low = g.add_node(NodeKind::kFlush, "low", 2,
+                             [&rec, &open_second](TaskContext&) {
+                               rec.record(kLow);
+                               open_second.set_value();
+                             });
+  g.add_edge(io, low);
+  for (u32 k = 0; k < 3; ++k) {
+    g.add_node(NodeKind::kCompute, "high", 10 + k, record_work(rec, k));
+  }
+
+  auto run = std::async(std::launch::async, [&] { return exec.run(g); });
+  auto complete = deferred.get_future().get();
+  while (gated.load() < 2) std::this_thread::yield();
+  complete(nullptr);  // releases `low` behind the queued high-rank nodes
+  open_first.set_value();
+  const auto stats = run.get();
+
+  EXPECT_EQ(stats.nodes_executed, 7u);
+  ASSERT_EQ(rec.sequence.size(), 4u);
+  EXPECT_EQ(rec.sequence.front(), kLow);
+}
+
 // --- WorkStealingPool units -------------------------------------------------
 
 TEST(WorkStealingPool, SubmitReturnsRedeemableFuture) {

@@ -1,12 +1,19 @@
 // OffloadEngine: initialization/distribution, the update pipeline, caching
-// behaviour, numerical correctness against a hand-rolled reference, and
-// option validation.
+// behaviour, numerical correctness against a hand-rolled reference, option
+// validation, and graph mode over a real async (io_uring) file tier.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <numeric>
+#include <unistd.h>
 
+#include <atomic>
+#include <cmath>
+#include <filesystem>
+#include <numeric>
+#include <stdexcept>
+
+#include "core/cpu_only_engine.hpp"
 #include "core/offload_engine.hpp"
+#include "io/uring_backend.hpp"
 #include "tiers/memory_tier.hpp"
 #include "tiers/throttled_tier.hpp"
 #include "train/adam.hpp"
@@ -433,6 +440,169 @@ TEST(OffloadEngine, DistributionConservesTotalBytes) {
   }
   EXPECT_EQ(engine.host_resident().size(), 3u);
 }
+
+// --- Graph mode over a real async tier --------------------------------------
+
+// Forwards to an inner tier and counts how the scheduler drives it: blocking
+// write() calls against write_async() submissions. A nonzero
+// `fail_async_write` makes that write_async (1-based) fail without reaching
+// the inner tier.
+class CountingTier final : public StorageTier {
+ public:
+  CountingTier(std::shared_ptr<StorageTier> inner, u64 fail_async_write)
+      : inner_(std::move(inner)), fail_async_write_(fail_async_write) {}
+
+  const std::string& name() const override { return inner_->name(); }
+  void write(const std::string& key, std::span<const u8> data,
+             u64 sim_bytes = 0) override {
+    ++writes;
+    inner_->write(key, data, sim_bytes);
+  }
+  void read(const std::string& key, std::span<u8> out,
+            u64 sim_bytes = 0) override {
+    inner_->read(key, out, sim_bytes);
+  }
+  bool exists(const std::string& key) const override {
+    return inner_->exists(key);
+  }
+  u64 object_size(const std::string& key) const override {
+    return inner_->object_size(key);
+  }
+  void erase(const std::string& key) override { inner_->erase(key); }
+  f64 read_bandwidth() const override { return inner_->read_bandwidth(); }
+  f64 write_bandwidth() const override { return inner_->write_bandwidth(); }
+  bool supports_async() const override { return inner_->supports_async(); }
+  void write_async(const std::string& key, std::span<const u8> data,
+                   u64 sim_bytes, AsyncDone done) override {
+    if (++async_writes == fail_async_write_) {
+      done(std::make_exception_ptr(std::runtime_error("injected failure")));
+      return;
+    }
+    inner_->write_async(key, data, sim_bytes, std::move(done));
+  }
+  void read_async(const std::string& key, std::span<u8> out, u64 sim_bytes,
+                  AsyncDone done) override {
+    inner_->read_async(key, out, sim_bytes, std::move(done));
+  }
+
+  std::atomic<u64> writes{0};
+  std::atomic<u64> async_writes{0};
+
+ private:
+  std::shared_ptr<StorageTier> inner_;
+  u64 fail_async_write_;
+};
+
+// Param = force_fallback: io_uring when the kernel offers it, the
+// pread/pwrite worker pool always.
+class OffloadEngineUringTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    if (!GetParam() && !AsyncFileBackend::kernel_supports_uring()) {
+      GTEST_SKIP() << "kernel refuses io_uring; fallback variant covers this";
+    }
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = std::filesystem::temp_directory_path() /
+           ("mlpo_engine_" + std::string(GetParam() ? "fb_" : "ur_") +
+            info->name() + "_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override {
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
+
+  /// Graph-mode engine over one UringFileTier path. Members are declared so
+  /// the engine goes first and the tier last.
+  struct Stack {
+    Stack(const std::filesystem::path& dir, bool force_fallback,
+          u64 fail_async_write) {
+      UringFileTier::Options file_opts;
+      file_opts.force_fallback = force_fallback;
+      tier = std::make_shared<CountingTier>(
+          std::make_shared<UringFileTier>("nvme", dir, file_opts),
+          fail_async_write);
+      vtier.add_path(tier);
+      IoScheduler::Config cfg;
+      cfg.queue_depth = 128;
+      io = std::make_unique<IoScheduler>(clock, &vtier, nullptr, nullptr, cfg);
+      EngineContext ctx;
+      ctx.clock = &clock;
+      ctx.vtier = &vtier;
+      ctx.io = io.get();
+      ctx.grads = &grads;
+      EngineOptions opts = EngineRig::fast_options(EngineOptions::mlp_offload());
+      opts.multipath = false;
+      opts.execution = "graph";
+      opts.graph_workers = 2;
+      engine = std::make_unique<OffloadEngine>(ctx, opts, EngineRig::layout());
+    }
+
+    void deposit(u64 iter) {
+      for (u32 id = 0; id < engine->num_subgroups(); ++id) {
+        engine->deposit_gradients_async(iter, id, true, true);
+      }
+      engine->wait_gradient_io();
+    }
+
+    SimClock clock{20000.0};
+    GradSource grads;
+    std::shared_ptr<CountingTier> tier;
+    VirtualTier vtier;
+    std::unique_ptr<IoScheduler> io;
+    std::unique_ptr<OffloadEngine> engine;
+  };
+
+  std::filesystem::path dir_;
+};
+
+u64 cpu_only_checksum(u64 iterations) {
+  SimClock clock(20000.0);
+  GradSource grads;
+  CpuOnlyEngine::Options opts;
+  opts.cpu_update_rate = 1e9;
+  opts.convert.fp32_bytes_per_sec = 1e12;
+  CpuOnlyEngine engine(clock, grads, EngineRig::layout(), opts);
+  engine.initialize();
+  for (u64 iter = 0; iter < iterations; ++iter) {
+    engine.deposit_gradients(iter, true);
+    engine.run_update(iter);
+  }
+  return engine.state_checksum();
+}
+
+TEST_P(OffloadEngineUringTest, StateWritesTakeTheAsyncPath) {
+  constexpr u64 kIterations = 3;
+  Stack s(dir_, GetParam(), 0);
+  s.engine->initialize();
+  EXPECT_EQ(s.tier->async_writes.load(), kNumSubgroups);
+  for (u64 iter = 0; iter < kIterations; ++iter) {
+    s.deposit(iter);
+    s.engine->run_update(iter);
+  }
+  EXPECT_EQ(s.tier->writes.load(), 0u)
+      << "a state write blocked a dispatch thread instead of going async";
+  EXPECT_GT(s.tier->async_writes.load(), u64{kNumSubgroups})
+      << "evictions must write back through write_async";
+  EXPECT_EQ(s.engine->scratch_stats().bytes_in_use, 0u);
+  EXPECT_EQ(s.engine->state_checksum(), cpu_only_checksum(kIterations));
+}
+
+TEST_P(OffloadEngineUringTest, FailedAsyncWriteFailsTheUpdateAndFreesStaging) {
+  // The second eviction write of the first update fails.
+  Stack s(dir_, GetParam(), kNumSubgroups + 2);
+  s.engine->initialize();
+  s.deposit(0);
+  EXPECT_THROW(s.engine->run_update(0), std::runtime_error);
+  EXPECT_EQ(s.engine->scratch_stats().bytes_in_use, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, OffloadEngineUringTest,
+                         ::testing::Values(false, true),
+                         [](const auto& info) {
+                           return info.param ? "Fallback" : "Uring";
+                         });
 
 }  // namespace
 }  // namespace mlpo
