@@ -57,13 +57,15 @@ std::vector<telemetry::Metric> run(BenchContext& ctx) {
 }
 
 // Graph-mode variant (smoke-gated): the same MLP-Offload scenario run with
-// the linear pipeline vs the task-graph executor, at bit-identical
-// training state (the equivalence suite holds the bits). Two gated wins:
+// the update graph's two shapes — "linear" (Alg. 1's window edges, on the
+// caller's thread) vs "graph" (the frontier, on a work-stealing pool) — at
+// bit-identical training state (the equivalence suite holds the bits). Two
+// gated wins:
 //
 //   * overlap_ratio — busy-time over wall time, how many seconds of
 //     fetch+compute+flush fit into each wall second of the update phase.
-//     Graph mode queues the whole ready frontier and overlaps compute on
-//     the work-stealing pool, so this must come out strictly higher.
+//     The frontier queues every ready transfer and overlaps compute on
+//     the pool, so this must come out strictly higher.
 //   * update_seconds — this scenario's update phase is bandwidth-bound and
 //     the scheduler is work-conserving, so both modes sit near the same IO
 //     floor; the gate therefore rejects material regression (the executor

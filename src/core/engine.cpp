@@ -29,6 +29,10 @@ void EngineOptions::validate_common() const {
         "EngineOptions: elem_scale must be >= 1 (simulated params per real "
         "element)");
   }
+  validate_execution();
+}
+
+void EngineOptions::validate_execution() const {
   if (execution != "linear" && execution != "graph") {
     throw std::invalid_argument("EngineOptions: unknown execution mode '" +
                                 execution + "' (known: linear graph)");
@@ -50,11 +54,9 @@ void EngineOptions::validate_resolved(const UpdateOrderPolicy& order) const {
           "' exploits the host cache but host_cache_subgroups is 0; pick a "
           "non-caching policy (e.g. 'ascending') or grant cache capacity");
     }
-    // A cached subgroup is touched (made MRU) when its prefetch slot is
-    // issued, up to prefetch_ahead positions before it is processed. The
-    // cache must be deep enough that the insertions from those intervening
-    // positions cannot evict it again, or a hit would consume poisoned
-    // state mid-flush.
+    // The cache must at least hold the prefetch window. (A hit cannot be
+    // evicted before use at any depth — hits are pinned when the update
+    // graph is built — so this sizes the cache, it does not guard it.)
     if (host_cache_subgroups < prefetch_ahead + 1) {
       throw std::invalid_argument(
           "EngineOptions: host_cache_subgroups=" +

@@ -57,20 +57,27 @@ struct EngineOptions {
   /// the eager-flush DeepSpeed behaviour.
   std::string update_order_policy = "alternating_cache_friendly";
 
-  /// Iteration execution mode: "linear" runs the phase-sequential pipeline
-  /// (Alg. 1's fixed prefetch window), "graph" builds a per-iteration task
-  /// DAG and schedules it on a work-stealing pool so the IoScheduler sees
-  /// the full frontier of ready transfers. Bit-identical results either
-  /// way (the equivalence suite holds both engines to that); the order
-  /// policy becomes a tie-break among ready nodes under "graph".
+  /// Shape of the per-iteration update task graph, and the thread that
+  /// runs it. Both shapes come from one builder per offloading engine:
+  ///   "linear" — Alg. 1's pipeline: the graph plus window edges (a serial
+  ///              compute chain, prefetch_ahead reads in flight, and the
+  ///              one-flush-in-flight host-buffer budget), run on the
+  ///              caller's thread; no pool is spawned;
+  ///   "graph"  — the frontier: no window edges, run on an engine-owned
+  ///              work-stealing pool, so the IoScheduler sees every ready
+  ///              transfer at once and the order policy is only a
+  ///              tie-break among ready nodes.
+  /// Bit-identical results either way (the equivalence suite holds both
+  /// engines to that).
   std::string execution = "linear";
 
-  /// Worker threads of the graph-mode pool; 0 = auto (hardware
+  /// Worker threads of the "graph" shape's pool; 0 = auto (hardware
   /// concurrency, clamped to [2, 8] so emulation hosts with many cores do
-  /// not multiply scaled-time noise). Ignored under "linear".
+  /// not multiply scaled-time noise). Ignored under "linear", which
+  /// spawns no threads.
   u32 graph_workers = 0;
 
-  /// The pool size graph-mode engines actually spawn: graph_workers when
+  /// The pool size "graph" engines actually spawn: graph_workers when
   /// set (floored at 2 — a one-worker pool can never steal), else the
   /// auto clamp described above.
   u32 resolved_graph_workers() const;
@@ -113,10 +120,13 @@ struct EngineOptions {
   /// engines that just built their policy members call this so a single
   /// construction does not resolve each policy name twice.
   void validate_resolved(const UpdateOrderPolicy& order) const;
-  /// Just the scalar checks (cpu_update_rate, elem_scale) — for engines
-  /// with no host cache or prefetch pipeline (tensor_nvme), where the
-  /// cache/prefetch invariants do not apply.
+  /// Just the scalar checks (cpu_update_rate, elem_scale, execution) — for
+  /// engines with no host cache (tensor_nvme), where the cache/prefetch
+  /// invariants do not apply.
   void validate_common() const;
+  /// The one list of execution shapes: throws std::invalid_argument naming
+  /// the bad value and the known ones. The config parser calls it too.
+  void validate_execution() const;
 
   /// Named preset bundles (the paper's ablation steps as policy bundles):
   ///   "deepspeed_zero3"    all principles off (ZeRO-3 + DeepNVMe baseline)

@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <deque>
 #include <limits>
 #include <stdexcept>
 
@@ -14,7 +13,6 @@ namespace mlpo {
 struct OffloadEngine::UpdateSlot {
   u32 id = 0;
   bool cache_hit = false;
-  std::future<void> fetch_done;
   f64 fetch_seconds = 0;
   u64 fetch_sim_bytes = 0;
   std::vector<f32> grads_fp32;
@@ -23,7 +21,7 @@ struct OffloadEngine::UpdateSlot {
 namespace {
 
 // Per-priority scheduler telemetry: delta of the cumulative counters over
-// one update phase (shared by the linear and graph epilogues).
+// one update phase.
 void fold_io_stats(IterationReport& report, const IoScheduler::Stats& start,
                    const IoScheduler::Stats& end) {
   for (std::size_t c = 0; c < kIoPriorityCount; ++c) {
@@ -88,10 +86,9 @@ OffloadEngine::OffloadEngine(const EngineContext& ctx,
   accum_ = std::make_unique<GradAccumulator>(accum_elems);
 
   // Staging slab sized for 16 worst-case subgroup images: comfortably more
-  // than the prefetch window + in-flight flush budget of the linear
-  // pipeline and the frontier bursts of graph mode, so steady-state
-  // acquire() never blocks and — the gated invariant — never falls back to
-  // the heap.
+  // than the windowed shape's prefetch window + in-flight flush budget and
+  // the frontier shape's bursts, so steady-state acquire() never blocks
+  // and — the gated invariant — never falls back to the heap.
   std::size_t max_bytes = 4096;
   u64 max_elems = 1;
   for (const auto& sg : subgroups_) {
@@ -111,12 +108,12 @@ OffloadEngine::OffloadEngine(const EngineContext& ctx,
   if (!opts_.multipath) bws.resize(1);
   placement_->bind(std::move(bws), static_cast<u32>(subgroups_.size()));
 
+  // "graph" runs its DAG on an engine-owned pool (workers spawned once, so
+  // the per-run Stats deltas are exact); "linear" runs on the caller's
+  // thread and spawns nothing.
   if (opts_.execution == "graph") {
-    // The engine owns its pool (kept across iterations, workers spawned
-    // once) so the per-run Stats deltas in run_update_graph are exact.
     graph_pool_ =
         std::make_unique<WorkStealingPool>(opts_.resolved_graph_workers());
-    graph_exec_ = std::make_unique<GraphExecutor>(*graph_pool_);
   }
 }
 
@@ -150,7 +147,6 @@ void OffloadEngine::reset_slots(u32 n) {
     UpdateSlot& s = slots_[i];
     s.id = 0;
     s.cache_hit = false;
-    s.fetch_done = std::future<void>();
     s.fetch_seconds = 0;
     s.fetch_sim_bytes = 0;
     // grads_fp32 keeps its reserved capacity — the reuse is the point.
@@ -258,30 +254,6 @@ void OffloadEngine::deposit_gradients_async(u64 sample_index, u32 subgroup_id,
 
 void OffloadEngine::wait_gradient_io() { gradient_io_.wait_all(); }
 
-std::future<void> OffloadEngine::submit_fetch(UpdateSlot& slot) {
-  Subgroup& sg = *subgroups_[slot.id];
-  const std::string key = state_key(slot.id);
-  // Routing hint only; the authoritative location check happens at
-  // dispatch (an unknown key fails loudly from the work function).
-  const std::size_t loc = ctx_.vtier->locate(key);
-
-  IoRequest req = IoRequest::tier_read(
-      key, sg.sim_state_bytes(), IoPriority::kDemandPrefetch,
-      loc == VirtualTier::npos ? IoRequest::kAutoPath : loc);
-  req.work = [this, &slot](IoChannel& chan) -> u64 {
-    return fetch_subgroup(slot, chan);
-  };
-  // Completion feeds the policy's bandwidth feedback: service time includes
-  // the lock hand-off, matching how the paper's model sees path contention.
-  req.on_complete = [this, &slot, loc](const IoResult& r) {
-    slot.fetch_seconds = r.service_seconds;
-    slot.fetch_sim_bytes = r.sim_bytes;
-    placement_->observe(loc == VirtualTier::npos ? 0 : loc, r.sim_bytes,
-                        r.service_seconds, r.queue_wait_seconds);
-  };
-  return submit_io(std::move(req));
-}
-
 u64 OffloadEngine::fetch_subgroup(UpdateSlot& slot, IoChannel& chan) {
   Subgroup& sg = *subgroups_[slot.id];
   const std::string key = state_key(slot.id);
@@ -309,32 +281,6 @@ u64 OffloadEngine::fetch_subgroup(UpdateSlot& slot, IoChannel& chan) {
   return sim_read;
 }
 
-std::future<void> OffloadEngine::flush_subgroup_async(
-    u32 id, std::vector<SubgroupTrace>* traces) {
-  Subgroup& sg = *subgroups_[id];
-  auto buf = std::make_shared<BufferPool::Lease>(
-      scratch_->acquire(sg.serialized_bytes()));
-  sg.serialize(buf->bytes());
-  poison_host_state(sg);
-  host_valid_[id] = 0;
-  cache_.erase(id);
-
-  const std::size_t path = placement_->path_for(id);  // new tier t (Alg. 1 l.9)
-  const u64 sim = sg.sim_state_bytes();
-
-  IoRequest req = IoRequest::tier_write(state_key(id), path, sim,
-                                        IoPriority::kLazyFlush);
-  req.src = buf->bytes();
-  req.on_complete = [this, buf, id, path, sim, traces](const IoResult& r) {
-    placement_->observe(path, sim, r.service_seconds, r.queue_wait_seconds);
-    if (traces != nullptr) {
-      (*traces)[id].write_seconds += r.service_seconds;
-      (*traces)[id].sim_bytes_written += sim;
-    }
-  };
-  return submit_io(std::move(req));
-}
-
 f64 OffloadEngine::charge_update_compute(u64 sim_params,
                                          f64 real_kernel_vseconds) {
   const f64 budget = static_cast<f64>(sim_params) / opts_.cpu_update_rate;
@@ -347,257 +293,39 @@ f64 OffloadEngine::charge_update_compute(u64 sim_params,
   return budget;
 }
 
-IterationReport OffloadEngine::run_update(u64 iteration) {
-  if (!initialized_) {
-    throw std::logic_error("OffloadEngine: run_update before initialize");
-  }
-  return opts_.execution == "graph" ? run_update_graph(iteration)
-                                    : run_update_linear(iteration);
-}
-
-IterationReport OffloadEngine::run_update_linear(u64 iteration) {
-  const f64 phase_start = ctx_.clock->now();
-  const IoScheduler::Stats io_stats_start = ctx_.io->tenant_stats(ctx_.tenant);
-  const u32 n = num_subgroups();
-
-  placement_->rebalance();
-  const std::vector<u32> residents = cache_.resident();
-  const std::vector<u32> order =
-      order_policy_->order(n, iteration, residents);
-  validate_order_permutation(order, n, order_policy_->name());
-
-  std::vector<SubgroupTrace> traces(n);
-  for (u32 id = 0; id < n; ++id) traces[id].subgroup_id = id;
-
-  reset_slots(n);
-  std::vector<UpdateSlot>& slots = slots_;
-  // Host I/O buffers are a hard budget (paper §3.1: "three subgroups at a
-  // time: one prefetched, one actively updated, one flushed back"). A new
-  // prefetch may only be issued once the oldest outstanding flush has
-  // drained and freed its buffer — this backpressure is what couples the
-  // read stream to the slow write stream and produces the oscillating
-  // effective-throughput pattern of Fig. 5.
-  std::deque<std::future<void>> inflight_flushes;
-  const std::size_t max_inflight_flushes = 1;
-
-  u32 next_issue = 0;
-  const auto issue = [&](u32 pos) {
-    UpdateSlot& slot = slots[pos];
-    slot.id = order[pos];
-    if (use_host_cache_ && host_valid_[slot.id] && cache_.contains(slot.id)) {
-      slot.cache_hit = true;
-      cache_.touch(slot.id);
-      return;
-    }
-    slot.cache_hit = false;
-    while (inflight_flushes.size() > max_inflight_flushes) {
-      inflight_flushes.front().get();
-      inflight_flushes.pop_front();
-    }
-    slot.fetch_done = submit_fetch(slot);
-  };
-
-  // Prime the pipeline: the subgroup being updated plus prefetch_ahead
-  // outstanding fetches (the paper's three host buffers: one flushing, one
-  // updating, one prefetching, for prefetch_ahead == 1).
-  const u32 window = 1 + opts_.prefetch_ahead;
-  while (next_issue < n && next_issue < window) issue(next_issue++);
-
-  IoBatch flush_batch;
-  IoBatch h2d_batch;
-  IterationReport report;
-  report.iteration = iteration;
-
-  // Exception safety: fetch/flush tasks capture pointers into `slots` and
-  // `traces`. If the pipeline throws we must drain every outstanding task
-  // before unwinding, or the I/O threads would write through dangling
-  // pointers.
-  const auto drain_outstanding = [&]() noexcept {
-    for (auto& s : slots) {
-      if (s.fetch_done.valid()) {
-        try {
-          s.fetch_done.get();
-        } catch (...) {
-        }
-      }
-    }
-    for (auto& f : inflight_flushes) {
-      if (f.valid()) {
-        try {
-          f.get();
-        } catch (...) {
-        }
-      }
-    }
-    inflight_flushes.clear();
-    try {
-      flush_batch.wait_all();
-    } catch (...) {
-    }
-    try {
-      h2d_batch.wait_all();
-    } catch (...) {
-    }
-  };
-
-  const auto pipeline = [&] {
-  for (u32 pos = 0; pos < n; ++pos) {
-    UpdateSlot& slot = slots[pos];
-    Subgroup& sg = *subgroups_[slot.id];
-    SubgroupTrace& trace = traces[slot.id];
-
-    if (slot.cache_hit) {
-      if (!host_valid_[slot.id]) {
-        // Guarded against by the validated cache capacity; a violation
-        // here would mean consuming a poisoned, mid-flush subgroup.
-        throw std::logic_error(
-            "OffloadEngine: cached subgroup evicted before use");
-      }
-      trace.host_cache_hit = true;
-      ++report.host_cache_hits;
-      if (!opts_.delayed_grad_conversion) {
-        // The optimizer state was cached, but the baseline gradient path
-        // flushed this subgroup's FP32 gradients to storage during the
-        // backward pass — they still have to come back (4 B/param).
-        const std::string gkey = grad_key(slot.id);
-        const std::size_t loc = ctx_.vtier->locate(gkey);
-        if (loc == VirtualTier::npos) {
-          throw std::runtime_error("OffloadEngine: gradients missing for " +
-                                   gkey);
-        }
-        const u64 grad_sim = sg.sim_params() * kFp32Bytes;
-        IoRequest req = IoRequest::tier_read(gkey, grad_sim,
-                                             IoPriority::kDemandPrefetch, loc);
-        req.work = [this, &slot, &sg, gkey, grad_sim](IoChannel& chan) -> u64 {
-          slot.grads_fp32.resize(sg.real_elems());
-          std::span<u8> bytes(reinterpret_cast<u8*>(slot.grads_fp32.data()),
-                              slot.grads_fp32.size() * sizeof(f32));
-          chan.read(gkey, bytes, grad_sim);
-          chan.erase(gkey);
-          return grad_sim;
-        };
-        req.on_complete = [&trace](const IoResult& r) {
-          trace.read_seconds = r.service_seconds;
-          trace.sim_bytes_read = r.sim_bytes;
-        };
-        submit_io(std::move(req)).get();
-      }
-    } else {
-      slot.fetch_done.get();  // f2h_prefetch_wait_subgrp (Alg. 1 l.5)
-      host_valid_[slot.id] = 1;
-      trace.read_seconds = slot.fetch_seconds;
-      trace.sim_bytes_read = slot.fetch_sim_bytes;
-    }
-
-    // Gradients: delayed in-place FP16->FP32 conversion (Alg. 1 l.6), or,
-    // for the baseline, the FP32 gradients arrived with the fetch.
-    SimTimer kernel_timer(*ctx_.clock);
-    if (opts_.delayed_grad_conversion) {
-      slot.grads_fp32.resize(sg.real_elems());
-      accum_->upscale_into(slot.id, slot.grads_fp32, ctx_.cpu_pool);
-      ctx_.clock->sleep_for(
-          opts_.convert.seconds_for_params(sg.sim_params()));
-    }
-
-    // cpu_update_kernel (Alg. 1 l.7): the real Adam math on the
-    // scale-reduced arrays, then the residual simulated compute charge.
-    sg.set_step(sg.step() + 1);
-    adam_update(opts_.adam, sg.params(), sg.momentum(), sg.variance(),
-                slot.grads_fp32, sg.step(), ctx_.cpu_pool);
-    trace.compute_seconds =
-        charge_update_compute(sg.sim_params(), kernel_timer.elapsed());
-
-    // async_h2d_transfer of the downscaled FP16 parameters (Alg. 1 l.8).
-    // Only the link time is modelled; the GPU-side copy has no observable
-    // state in this library.
-    {
-      IoRequest h2d = IoRequest::link_transfer(
-          IoTarget::kH2DLink, state_key(slot.id), sg.sim_fp16_param_bytes(),
-          IoPriority::kDemandPrefetch);
-      h2d_batch.add(submit_io(std::move(h2d)));
-    }
-
-    // Lazy flush through the host cache (Alg. 1 l.9-10) or eager flush for
-    // the thrashing baseline — the order policy selects the discipline.
-    if (use_host_cache_) {
-      host_valid_[slot.id] = 1;
-      if (const auto evicted = cache_.insert(slot.id)) {
-        inflight_flushes.push_back(flush_subgroup_async(*evicted, &traces));
-      }
-    } else {
-      inflight_flushes.push_back(flush_subgroup_async(slot.id, &traces));
-    }
-
-    // async_f2h_prefetch of the next subgroup (Alg. 1 l.11).
-    if (next_issue < n) issue(next_issue++);
-  }
-
-  while (!inflight_flushes.empty()) {
-    inflight_flushes.front().get();
-    inflight_flushes.pop_front();
-  }
-  flush_batch.wait_all();
-  h2d_batch.wait_all();
-  };  // pipeline
-
-  try {
-    pipeline();
-  } catch (...) {
-    // Queued demand reads are abandoned before draining: they are safe to
-    // cancel (re-fetchable on retry or restore) and on a fail-stopped tier
-    // each would otherwise dispatch serially just to fail. Queued writes
-    // stay — a flush may carry the only copy of an updated subgroup. The
-    // sweep is tenant-scoped: on a shared scheduler a neighbour job's
-    // queued prefetches are not ours to abandon.
-    ctx_.io->cancel_queued(IoPriority::kDemandPrefetch, ctx_.tenant);
-    drain_outstanding();
-    throw;
-  }
-
-  report.subgroups_processed = n;
-  report.params_updated = layout_.shard_params;
-  report.traces.reserve(n);
-  for (u32 pos = 0; pos < n; ++pos) {
-    const SubgroupTrace& t = traces[order[pos]];
-    report.traces.push_back(t);
-    report.sim_bytes_fetched += t.sim_bytes_read;
-    report.sim_bytes_flushed += t.sim_bytes_written;
-    report.fetch_seconds += t.read_seconds;
-    report.flush_seconds += t.write_seconds;
-    report.update_compute_seconds += t.compute_seconds;
-  }
-  report.update_seconds = ctx_.clock->now() - phase_start;
-  fold_io_stats(report, io_stats_start, ctx_.io->tenant_stats(ctx_.tenant));
-  // Delta since the previous update epilogue, so backward-phase deposit
-  // churn lands in this iteration's report too.
-  const BufferPool::Stats pool_now = scratch_->stats();
-  report.pool_acquires = pool_now.acquires - pool_mark_.acquires;
-  report.pool_heap_fallbacks =
-      pool_now.heap_fallbacks - pool_mark_.heap_fallbacks;
-  pool_mark_ = pool_now;
-  return report;
-}
-
 // ---------------------------------------------------------------------------
-// Graph execution mode (EngineOptions::execution == "graph").
+// The update phase as a task graph.
 //
-// The iteration becomes a DAG: per subgroup a fetch -> compute -> {h2d,
-// flush} chain, ranked by update-order position. The rank is a run-wide
-// priority: flush:k, released when update:k finishes, starts ahead of every
+// The iteration is a DAG: per subgroup a fetch -> compute -> {h2d, flush}
+// chain, ranked by update-order position. The rank is a run-wide priority:
+// flush:k, released when update:k finishes, starts ahead of every
 // later-ranked compute already waiting, so each lazy flush overlaps the
-// updates after it (Alg. 1) instead of bunching up at the end of the
-// phase. Compared to the linear pipeline there is no prefetch window and no
-// flush backpressure: every root fetch is queued on the IoScheduler at once
-// (the scheduler sees the full frontier and coalesces/prioritizes across
-// it), and compute overlaps freely on the work-stealing pool. Flush writes
-// are plain span transfers, so an async tier keeps many of them in flight
-// and settles each on its real completion.
+// updates after it (Alg. 1) instead of bunching up at the end of the phase.
+// Flush writes are plain span transfers, so an async tier keeps many of them
+// in flight and settles each on its real completion.
 //
-// Bit-identity with the linear pipeline (held to by the equivalence suite):
-// per-subgroup Adam math touches only that subgroup's state and gradients,
-// and the shard checksum is a commutative sum — so the schedule can change
-// without the results changing, provided no node ever reads stale state.
-// Three races could violate that, and each is closed structurally:
+// EngineOptions::execution picks the shape and the thread that runs it:
+//   * "graph" — the frontier: no window, every root fetch is queued on the
+//     IoScheduler at once (it sees the whole frontier and coalesces and
+//     prioritizes across it), and compute overlaps freely on the engine's
+//     work-stealing pool;
+//   * "linear" — the paper's pipeline as window edges on the same DAG, run
+//     on the caller's thread: a serial compute chain, the read for position
+//     p released by compute(p - 1 - prefetch_ahead) (and ranked with it, so
+//     it is issued right after that compute's h2d and flush, as Alg. 1 l.11
+//     issues it), and a state read for p — with the compute after the one
+//     that releases it — held until the flush of position
+//     p - prefetch_ahead - 2 has landed. That last edge is the host-buffer
+//     budget (§3.1: one subgroup prefetched, one updated, one flushed back)
+//     that couples the read stream to the slower write stream and produces
+//     Fig. 5's oscillating throughput; under "ascending" every position
+//     flushes itself, so it also paces the eager flush.
+//
+// Bit-identity across shapes (held to by the equivalence suite): per-subgroup
+// Adam math touches only that subgroup's state and gradients, and the shard
+// checksum is a commutative sum — so the schedule can change without the
+// results changing, provided no node ever reads stale state. Three races
+// could violate that, and each is closed structurally:
 //   * a cache hit being evicted (poisoned) before its compute runs — hits
 //     are claimed at build time by *removing* the id from the cache
 //     ("pin-by-erase"; insert() can then never select it as a victim), and
@@ -615,6 +343,8 @@ void OffloadEngine::submit_graph_fetch(
     UpdateSlot& slot, std::function<void(std::exception_ptr)> done) {
   Subgroup& sg = *subgroups_[slot.id];
   const std::string key = state_key(slot.id);
+  // Routing hint only; the authoritative location check happens at
+  // dispatch (an unknown key fails loudly from the work function).
   const std::size_t loc = ctx_.vtier->locate(key);
 
   IoRequest req = IoRequest::tier_read(
@@ -623,6 +353,8 @@ void OffloadEngine::submit_graph_fetch(
   req.work = [this, &slot](IoChannel& chan) -> u64 {
     return fetch_subgroup(slot, chan);
   };
+  // Completion feeds the policy's bandwidth feedback: service time includes
+  // the lock hand-off, matching how the paper's model sees path contention.
   req.on_complete = [this, &slot, loc](const IoResult& r) {
     slot.fetch_seconds = r.service_seconds;
     slot.fetch_sim_bytes = r.sim_bytes;
@@ -702,7 +434,7 @@ void OffloadEngine::graph_compute(TaskContext& tc, UpdateSlot& slot,
     MutexLock lock(graph_mutex_);
     if (!host_valid_[slot.id]) {
       // Structurally impossible (pinned hits cannot be evicted); kept as
-      // a loud tripwire mirroring the linear pipeline's check.
+      // a loud tripwire against consuming a poisoned, mid-flush subgroup.
       throw std::logic_error(
           "OffloadEngine: cached subgroup evicted before use");
     }
@@ -714,12 +446,16 @@ void OffloadEngine::graph_compute(TaskContext& tc, UpdateSlot& slot,
   trace.read_seconds = slot.fetch_seconds;
   trace.sim_bytes_read = slot.fetch_sim_bytes;
 
+  // Gradients: delayed in-place FP16->FP32 conversion (Alg. 1 l.6), or,
+  // for the baseline, the FP32 gradients arrived with the fetch.
   SimTimer kernel_timer(*ctx_.clock);
   if (opts_.delayed_grad_conversion) {
     slot.grads_fp32.resize(sg.real_elems());
     accum_->upscale_into(slot.id, slot.grads_fp32, ctx_.cpu_pool);
     ctx_.clock->sleep_for(opts_.convert.seconds_for_params(sg.sim_params()));
   }
+  // cpu_update_kernel (Alg. 1 l.7): the real Adam math on the scale-reduced
+  // arrays, then the residual simulated compute charge.
   sg.set_step(sg.step() + 1);
   adam_update(opts_.adam, sg.params(), sg.momentum(), sg.variance(),
               slot.grads_fp32, sg.step(), ctx_.cpu_pool);
@@ -728,6 +464,8 @@ void OffloadEngine::graph_compute(TaskContext& tc, UpdateSlot& slot,
 }
 
 void OffloadEngine::graph_h2d(TaskContext& tc, UpdateSlot& slot) {
+  // async_h2d_transfer of the downscaled FP16 parameters (Alg. 1 l.8). Only
+  // the link time is modelled; the GPU-side copy has no observable state.
   Subgroup& sg = *subgroups_[slot.id];
   auto done = tc.defer();
   IoRequest h2d = IoRequest::link_transfer(
@@ -785,7 +523,7 @@ void OffloadEngine::graph_flush(TaskContext& tc, UpdateSlot& slot,
   // Any failure from here on must still drain the pending entry we just
   // registered, or a fetch parked on it would hang the run.
   try {
-    const std::size_t path = placement_->path_for(victim);
+    const std::size_t path = placement_->path_for(victim);  // Alg. 1 l.9
     const u64 sim = subgroups_[victim]->sim_state_bytes();
     IoRequest req = IoRequest::tier_write(state_key(victim), path, sim,
                                           IoPriority::kLazyFlush);
@@ -810,7 +548,10 @@ void OffloadEngine::graph_flush(TaskContext& tc, UpdateSlot& slot,
   }
 }
 
-IterationReport OffloadEngine::run_update_graph(u64 iteration) {
+IterationReport OffloadEngine::run_update(u64 iteration) {
+  if (!initialized_) {
+    throw std::logic_error("OffloadEngine: run_update before initialize");
+  }
   const f64 phase_start = ctx_.clock->now();
   const IoScheduler::Stats io_stats_start = ctx_.io->tenant_stats(ctx_.tenant);
   const u32 n = num_subgroups();
@@ -830,6 +571,10 @@ IterationReport OffloadEngine::run_update_graph(u64 iteration) {
   // pinned here (see the pin-by-erase note above); everything in the cache
   // at this point is lazy-flush residue from the previous iteration, so
   // after this loop the cache is empty and refills as flush nodes run.
+  const bool windowed = graph_pool_ == nullptr;
+  const u32 window = 1 + opts_.prefetch_ahead;
+  std::vector<u32> compute_at(n);
+  std::vector<u32> flush_at(n);
   TaskGraph graph;
   for (u32 pos = 0; pos < n; ++pos) {
     UpdateSlot& slot = slots[pos];
@@ -844,12 +589,27 @@ IterationReport OffloadEngine::run_update_graph(u64 iteration) {
                        [this, &slot, &traces](TaskContext& tc) {
                          graph_compute(tc, slot, traces);
                        });
+    compute_at[pos] = compute;
+    if (windowed && pos > 0) graph.add_edge(compute_at[pos - 1], compute);
     if (!slot.cache_hit || !opts_.delayed_grad_conversion) {
+      const bool gated = windowed && pos >= window;
       const u32 fetch = graph.add_node(
           slot.cache_hit ? NodeKind::kGradDeposit : NodeKind::kFetch,
-          (slot.cache_hit ? "grad:" : "fetch:") + tag, pos,
+          (slot.cache_hit ? "grad:" : "fetch:") + tag,
+          gated ? pos - window : pos,
           [this, &slot](TaskContext& tc) { graph_fetch(tc, slot); });
       graph.add_edge(fetch, compute);
+      if (gated) {
+        graph.add_edge(compute_at[pos - window], fetch);
+        if (!slot.cache_hit && pos > window) {
+          // The budget stalls the pipeline, not just this read: the next
+          // compute waits on the same flush, so the read is still issued
+          // before it starts, as Alg. 1 l.11 issues it.
+          graph.add_edge(flush_at[pos - window - 1], fetch);
+          graph.add_edge(flush_at[pos - window - 1],
+                         compute_at[pos - window + 1]);
+        }
+      }
     }
     const u32 h2d =
         graph.add_node(NodeKind::kCompute, "h2d:" + tag, pos,
@@ -860,15 +620,17 @@ IterationReport OffloadEngine::run_update_graph(u64 iteration) {
                                        graph_flush(tc, slot, traces);
                                      });
     graph.add_edge(compute, flush);
+    flush_at[pos] = flush;
   }
 
   // run() returns (or rethrows) only after every node — including deferred
   // IO completions — has settled, so no node outlives slots/traces. Parked
   // continuations are drained by their flush's settle hook on every path.
-  const GraphExecutor::Stats stats = graph_exec_->run(graph, [this] {
-    // First failure: abandon queued demand reads (same rationale as the
-    // linear pipeline's catch path — each would otherwise dispatch
-    // serially on a fail-stopped tier just to fail). Queued writes stay;
+  const GraphExecutor::Stats stats =
+      GraphExecutor(graph_pool_.get()).run(graph, [this] {
+    // First failure: abandon queued demand reads — they are safe to cancel
+    // (re-fetchable on retry or restore), and on a fail-stopped tier each
+    // would otherwise dispatch serially just to fail. Queued writes stay;
     // a flush may carry the only copy of an updated subgroup. Scoped to
     // this engine's tenant — neighbours' queued reads are untouched.
     ctx_.io->cancel_queued(IoPriority::kDemandPrefetch, ctx_.tenant);
@@ -891,6 +653,8 @@ IterationReport OffloadEngine::run_update_graph(u64 iteration) {
   }
   report.update_seconds = ctx_.clock->now() - phase_start;
   fold_io_stats(report, io_stats_start, ctx_.io->tenant_stats(ctx_.tenant));
+  // Delta since the previous update epilogue, so backward-phase deposit
+  // churn lands in this iteration's report too.
   const BufferPool::Stats pool_now = scratch_->stats();
   report.pool_acquires = pool_now.acquires - pool_mark_.acquires;
   report.pool_heap_fallbacks =

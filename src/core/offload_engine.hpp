@@ -55,9 +55,10 @@ class OffloadEngine final : public Engine {
   void wait_gradient_io() override;
 
   /// The update phase (Algorithm 1): prefetch, convert, CPU-Adam, H2D push
-  /// of FP16 params, tier reassignment, lazy flush — pipelined and
-  /// instrumented. `iteration` and the current host residency feed the
-  /// update-order policy.
+  /// of FP16 params, tier reassignment, lazy flush — one task graph per
+  /// iteration, windowed on the caller's thread or frontier-wide on the
+  /// engine's pool (EngineOptions::execution). `iteration` and the current
+  /// host residency feed the update-order policy.
   IterationReport run_update(u64 iteration) override;
 
   const ShardLayout& layout() const override { return layout_; }
@@ -103,18 +104,12 @@ class OffloadEngine final : public Engine {
   /// Reset the persistent update slots for a fresh iteration without
   /// surrendering the grads_fp32 capacity they reserved at construction.
   void reset_slots(u32 n);
-  std::future<void> submit_fetch(UpdateSlot& slot);
   u64 fetch_subgroup(UpdateSlot& slot, IoChannel& chan);
-  std::future<void> flush_subgroup_async(u32 id,
-                                         std::vector<SubgroupTrace>* traces);
   f64 charge_update_compute(u64 sim_params, f64 real_kernel_vseconds);
 
-  // --- the two iteration execution modes (EngineOptions::execution) ---
-  IterationReport run_update_linear(u64 iteration);
-  IterationReport run_update_graph(u64 iteration);
-  // Graph-mode node bodies. Each receives its UpdateSlot; IO-issuing nodes
-  // call TaskContext::defer() and complete from IoRequest::on_settle so a
-  // pool worker never blocks on a transfer.
+  // Update-graph node bodies. Each receives its UpdateSlot; IO-issuing
+  // nodes call TaskContext::defer() and complete from IoRequest::on_settle
+  // so the executing thread never blocks on a transfer.
   void graph_fetch(TaskContext& tc, UpdateSlot& slot);
   void graph_compute(TaskContext& tc, UpdateSlot& slot,
                      std::vector<SubgroupTrace>& traces);
@@ -151,14 +146,15 @@ class OffloadEngine final : public Engine {
   /// reported per iteration therefore also covers backward-phase deposits.
   BufferPool::Stats pool_mark_{};
 
-  // Graph mode only (null under "linear"). The engine owns its pool so
-  // GraphExecutor::Stats deltas are exact per iteration.
+  /// The frontier shape's pool (null under "linear", whose graph runs on
+  /// the caller's thread). The engine owns it so GraphExecutor::Stats
+  /// deltas are exact per iteration.
   std::unique_ptr<WorkStealingPool> graph_pool_;
-  std::unique_ptr<GraphExecutor> graph_exec_;
-  /// Serializes graph-node access to the linear-era shared state
-  /// (cache_, host_valid_, subgroup host buffers during serialize/poison).
-  /// The linear path never takes it — single-threaded by construction —
-  /// so those members stay unannotated; TSan covers the graph path.
+  /// Serializes update-node and settle-hook access to the engine's shared
+  /// state (cache_, host_valid_, subgroup host buffers during
+  /// serialize/poison). Outside run_update those members are touched only
+  /// by the single-threaded initialize/restore/inspection calls, so they
+  /// stay unannotated; TSan covers the update path.
   Mutex graph_mutex_;
   /// Subgroups with an in-flight lazy flush, keyed by id. A fetch node for
   /// such an id parks a continuation here instead of racing its own

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "graph/graph_executor.hpp"
 #include "policy/policy_registry.hpp"
 
 namespace mlpo {
@@ -56,7 +57,6 @@ TensorNvmeEngine::TensorNvmeEngine(const EngineContext& ctx,
   u64 max_elems = 1;
   for (const u64 e : accum_elems) max_elems = std::max(max_elems, e);
   grad_scratch_.reserve(max_elems);
-  fp32_scratch_.reserve(max_elems);
 
   // The offloader facade has no per-transfer completion feedback (the
   // TensorNVMe API returns bare futures), so adaptive policies run from
@@ -65,17 +65,18 @@ TensorNvmeEngine::TensorNvmeEngine(const EngineContext& ctx,
   placement_->bind(std::move(bandwidths),
                    static_cast<u32>(subgroups_.size()));
 
+  // "graph" runs its DAG on an engine-owned pool; "linear" runs on the
+  // caller's thread and spawns nothing. Every executing thread can hold one
+  // compute node's FP32 scratch at a time; the +2 slack keeps acquire()
+  // from ever blocking one.
+  u32 executors = 1;
   if (opts_.execution == "graph") {
-    graph_pool_ =
-        std::make_unique<WorkStealingPool>(opts_.resolved_graph_workers());
-    graph_exec_ = std::make_unique<GraphExecutor>(*graph_pool_);
-    // Every pool worker can hold one compute node's FP32 scratch at a
-    // time; the +2 slack keeps acquire() from ever blocking a worker.
-    BufferPool::Options pool_opts;
-    pool_opts.slab_bytes = (opts_.resolved_graph_workers() + 2) *
-                           max_elems * sizeof(f32);
-    fp32_pool_ = std::make_unique<BufferPool>(pool_opts);
+    executors = opts_.resolved_graph_workers();
+    graph_pool_ = std::make_unique<WorkStealingPool>(executors);
   }
+  BufferPool::Options pool_opts;
+  pool_opts.slab_bytes = (executors + 2) * max_elems * sizeof(f32);
+  fp32_pool_ = std::make_unique<BufferPool>(pool_opts);
 }
 
 std::string TensorNvmeEngine::state_key(u32 id) const {
@@ -166,96 +167,20 @@ void TensorNvmeEngine::deposit_gradients_async(u64 sample_index,
 void TensorNvmeEngine::wait_gradient_io() { gradient_io_.wait_all(); }
 
 IterationReport TensorNvmeEngine::run_update(u64 iteration) {
+  // Per subgroup a fetch -> compute -> {h2d, flush} chain. The per-tensor
+  // futures stay — a fetch node blocks its thread on the offloader's read
+  // future (the facade has no settle hook to defer on), so on the caller's
+  // thread ("linear") reads stay synchronous per tensor as in TensorNVMe,
+  // while on the pool ("graph") chains for different subgroups overlap.
+  // "linear" adds the same window edges as OffloadEngine's pipeline: a
+  // serial compute chain and each read released by compute(p - window).
+  // Flush nodes only enqueue the offloader write (drained at the phase
+  // barrier below), so there is no flush budget to window. Offloader calls
+  // are serialized under graph_mutex_ (their pending batches are plain
+  // future collectors); the blocking get() happens outside the lock.
   if (!initialized_) {
     throw std::logic_error("TensorNvmeEngine: run_update before initialize");
   }
-  return opts_.execution == "graph" ? run_update_graph(iteration)
-                                    : run_update_linear(iteration);
-}
-
-IterationReport TensorNvmeEngine::run_update_linear(u64 iteration) {
-  const f64 phase_start = ctx_.clock->now();
-  const u32 n = num_subgroups();
-  placement_->rebalance();
-  const std::vector<u32> order = order_policy_->order(n, iteration, {});
-  validate_order_permutation(order, n, order_policy_->name());
-
-  IterationReport report;
-  report.iteration = iteration;
-  std::vector<f32>& grads_fp32 = fp32_scratch_;
-
-  for (const u32 id : order) {
-    Subgroup& sg = *subgroups_[id];
-    SubgroupTrace trace{};
-    trace.subgroup_id = id;
-
-    // TensorNVMe discipline: synchronous per-tensor read of the subgroup
-    // tensor from the offloader it was last written to (no prefetch
-    // pipeline).
-    {
-      SimTimer read_timer(*ctx_.clock);
-      offloaders_[stored_path_[id]]
-          ->async_read(state_key(id), staging_[id], sg.sim_state_bytes())
-          .get();
-      unpack_staging(id);
-      trace.read_seconds = read_timer.elapsed();
-      trace.sim_bytes_read = sg.sim_state_bytes();
-    }
-
-    SimTimer kernel_timer(*ctx_.clock);
-    grads_fp32.resize(sg.real_elems());
-    accum_->upscale_into(id, grads_fp32, ctx_.cpu_pool);
-    ctx_.clock->sleep_for(opts_.convert.seconds_for_params(sg.sim_params()));
-
-    sg.set_step(sg.step() + 1);
-    adam_update(opts_.adam, sg.params(), sg.momentum(), sg.variance(),
-                grads_fp32, sg.step(), ctx_.cpu_pool);
-    const f64 budget =
-        static_cast<f64>(sg.sim_params()) / opts_.cpu_update_rate;
-    const f64 real = kernel_timer.elapsed();
-    if (budget > real) ctx_.clock->sleep_for(budget - real);
-    trace.compute_seconds = budget;
-
-    // H2D push of the updated FP16 parameters, then asynchronous
-    // write-back through the offloader (drained at the phase barrier) —
-    // the write adopts the policy's current assignment, so a rebalance
-    // migrates subgroups one update phase at a time.
-    {
-      IoRequest h2d = IoRequest::link_transfer(
-          IoTarget::kH2DLink, state_key(id), sg.sim_fp16_param_bytes(),
-          IoPriority::kDemandPrefetch);
-      submit_io(std::move(h2d)).get();
-    }
-    write_through(id);
-    trace.sim_bytes_written = sg.sim_state_bytes();
-
-    report.traces.push_back(trace);
-    report.sim_bytes_fetched += trace.sim_bytes_read;
-    report.sim_bytes_flushed += trace.sim_bytes_written;
-    report.fetch_seconds += trace.read_seconds;
-    report.update_compute_seconds += trace.compute_seconds;
-    ++report.subgroups_processed;
-  }
-
-  {
-    SimTimer flush_timer(*ctx_.clock);
-    for (auto& off : offloaders_) off->synchronize();
-    report.flush_seconds = flush_timer.elapsed();
-  }
-  report.params_updated = layout_.shard_params;
-  report.update_seconds = ctx_.clock->now() - phase_start;
-  return report;
-}
-
-IterationReport TensorNvmeEngine::run_update_graph(u64 iteration) {
-  // Graph form of the TensorNVMe discipline: per subgroup a fetch ->
-  // compute -> {h2d, flush} chain. The per-tensor futures stay — a fetch
-  // node blocks its pool worker on the offloader's read future (the
-  // facade has no settle hook to defer on), but chains for different
-  // subgroups overlap freely, which the serial per-tensor loop never
-  // could. Offloader calls are serialized under graph_mutex_ (their
-  // pending batches are plain future collectors); the blocking get()
-  // happens outside the lock.
   const f64 phase_start = ctx_.clock->now();
   const u32 n = num_subgroups();
   placement_->rebalance();
@@ -265,12 +190,16 @@ IterationReport TensorNvmeEngine::run_update_graph(u64 iteration) {
   std::vector<SubgroupTrace> traces(n);
   for (u32 id = 0; id < n; ++id) traces[id].subgroup_id = id;
 
+  const bool windowed = graph_pool_ == nullptr;
+  const u32 window = 1 + opts_.prefetch_ahead;
+  std::vector<u32> compute_at(n);
   TaskGraph graph;
   for (u32 pos = 0; pos < n; ++pos) {
     const u32 id = order[pos];
     const std::string tag = std::to_string(id);
+    const bool gated = windowed && pos >= window;
     const u32 fetch = graph.add_node(
-        NodeKind::kFetch, "fetch:" + tag, pos,
+        NodeKind::kFetch, "fetch:" + tag, gated ? pos - window : pos,
         [this, id, &traces](TaskContext&) {
           Subgroup& sg = *subgroups_[id];
           SimTimer read_timer(*ctx_.clock);
@@ -285,6 +214,7 @@ IterationReport TensorNvmeEngine::run_update_graph(u64 iteration) {
           traces[id].read_seconds = read_timer.elapsed();
           traces[id].sim_bytes_read = sg.sim_state_bytes();
         });
+    if (gated) graph.add_edge(compute_at[pos - window], fetch);
     const u32 compute = graph.add_node(
         NodeKind::kCompute, "update:" + tag, pos,
         [this, id, &traces](TaskContext&) {
@@ -306,6 +236,8 @@ IterationReport TensorNvmeEngine::run_update_graph(u64 iteration) {
           traces[id].compute_seconds = budget;
         });
     graph.add_edge(fetch, compute);
+    if (windowed && pos > 0) graph.add_edge(compute_at[pos - 1], compute);
+    compute_at[pos] = compute;
     const u32 h2d = graph.add_node(
         NodeKind::kCompute, "h2d:" + tag, pos, [this, id](TaskContext& tc) {
           Subgroup& sg = *subgroups_[id];
@@ -319,6 +251,8 @@ IterationReport TensorNvmeEngine::run_update_graph(u64 iteration) {
           submit_io(std::move(h2d_req));
         });
     graph.add_edge(compute, h2d);
+    // Write-back adopts the policy's current assignment, so a rebalance
+    // migrates subgroups one update phase at a time.
     const u32 flush = graph.add_node(
         NodeKind::kFlush, "flush:" + tag, pos,
         [this, id, &traces](TaskContext&) {
@@ -329,12 +263,13 @@ IterationReport TensorNvmeEngine::run_update_graph(u64 iteration) {
     graph.add_edge(compute, flush);
   }
 
-  const GraphExecutor::Stats stats = graph_exec_->run(graph, [this] {
-    // First failure: abandon queued demand reads so the unwind is not
-    // serialized behind reads that would each dispatch just to fail.
-    // Tenant-scoped — neighbours on a shared scheduler are untouched.
-    ctx_.io->cancel_queued(IoPriority::kDemandPrefetch, ctx_.tenant);
-  });
+  const GraphExecutor::Stats stats =
+      GraphExecutor(graph_pool_.get()).run(graph, [this] {
+        // First failure: abandon queued demand reads so the unwind is not
+        // serialized behind reads that would each dispatch just to fail.
+        // Tenant-scoped — neighbours on a shared scheduler are untouched.
+        ctx_.io->cancel_queued(IoPriority::kDemandPrefetch, ctx_.tenant);
+      });
 
   IterationReport report;
   report.iteration = iteration;

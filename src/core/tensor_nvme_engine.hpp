@@ -9,10 +9,11 @@
 // one DiskOffloader per storage path, the placement policy deciding which
 // offloader holds which subgroup, and TensorNVMe's per-tensor
 // async_write / async_read / synchronize discipline instead of
-// OffloadEngine's prefetch pipeline. Fetches are synchronous per tensor
-// (the facade's simplicity is the point); write-back stays asynchronous and
-// drains at the end of the update phase. Numerically it is bit-identical
-// to the other engines — the equivalence suite holds it to that.
+// OffloadEngine's prefetch pipeline. Each fetch blocks on its tensor's
+// read (the facade's simplicity is the point); write-back stays
+// asynchronous and drains at the end of the update phase. Numerically it
+// is bit-identical to the other engines — the equivalence suite holds it
+// to that.
 #pragma once
 
 #include <memory>
@@ -20,7 +21,6 @@
 
 #include "core/disk_offloader.hpp"
 #include "core/engine.hpp"
-#include "graph/graph_executor.hpp"
 #include "policy/placement_policy.hpp"
 #include "policy/update_order_policy.hpp"
 #include "tiers/virtual_tier.hpp"
@@ -81,9 +81,6 @@ class TensorNvmeEngine final : public Engine {
   /// Write subgroup `id`'s staging tensor to the offloader the placement
   /// policy currently assigns it, recording that location for later reads.
   void write_through(u32 id);
-  // The two iteration execution modes (EngineOptions::execution).
-  IterationReport run_update_linear(u64 iteration);
-  IterationReport run_update_graph(u64 iteration);
 
   EngineContext ctx_;
   EngineOptions opts_;
@@ -102,25 +99,21 @@ class TensorNvmeEngine final : public Engine {
   std::vector<std::vector<f32>> staging_;
   std::unique_ptr<GradAccumulator> accum_;
   IoBatch gradient_io_;
-  /// Reserved-once scratch for the serial paths: deposits ride the single
-  /// D2H link channel (one work function at a time per engine) and the
-  /// linear update loop is single-threaded, so member buffers keep them
-  /// allocation-free without a pool.
+  /// Reserved-once deposit scratch: deposits ride the single D2H link
+  /// channel (one work function at a time per engine), so a member buffer
+  /// keeps them allocation-free without a pool.
   std::vector<u16> grad_scratch_;
-  std::vector<f32> fp32_scratch_;
   bool initialized_ = false;
 
-  // Graph mode only (null under "linear").
+  /// The frontier shape's pool (null under "linear", whose graph runs on
+  /// the caller's thread).
   std::unique_ptr<WorkStealingPool> graph_pool_;
-  std::unique_ptr<GraphExecutor> graph_exec_;
-  /// FP32 gradient scratch for graph-mode compute nodes, which run
-  /// concurrently on the work-stealing pool (unlike the serial paths
-  /// above) and so draw leases instead of sharing a member buffer.
+  /// FP32 gradient scratch for compute nodes, which may run concurrently
+  /// on the pool and so draw leases instead of sharing a member buffer.
   std::unique_ptr<BufferPool> fp32_pool_;
   BufferPool::Stats pool_mark_{};
-  /// Serializes graph-node access to the DiskOffloaders (their pending
-  /// batches are plain future collectors, not thread-safe). The linear
-  /// path never takes it.
+  /// Serializes update-node access to the DiskOffloaders (their pending
+  /// batches are plain future collectors, not thread-safe).
   Mutex graph_mutex_;
 };
 

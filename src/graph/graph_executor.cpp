@@ -1,6 +1,7 @@
 #include "graph/graph_executor.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 
 namespace mlpo {
@@ -11,7 +12,7 @@ namespace mlpo {
 // nothing here can dangle.
 struct TaskContext::RunState {
   const TaskGraph* graph = nullptr;
-  WorkStealingPool* pool = nullptr;
+  WorkStealingPool* pool = nullptr;  ///< null: run()'s caller executes nodes
 
   Mutex mutex;
   CondVar done_cv;
@@ -71,6 +72,12 @@ std::function<void(std::exception_ptr)> TaskContext::defer() {
 }
 
 void GraphExecutor::dispatch(TaskContext::RunState& st, std::size_t count) {
+  if (st.pool == nullptr) {
+    // The caller pops released nodes itself; a release from another
+    // thread (a deferred completion) only has to wake it.
+    if (count > 0) st.done_cv.notify_all();
+    return;
+  }
   // One pool task per released node, but a task is not bound to the node
   // whose release queued it: it runs whichever ready node ranks best when
   // it starts. The heap holds exactly as many nodes as tasks not yet
@@ -170,8 +177,8 @@ GraphExecutor::Stats GraphExecutor::run(const TaskGraph& graph,
   Stats stats;
   if (graph.node_count() == 0) return stats;
 
-  const u64 stolen_start = pool_->tasks_stolen();
-  const f64 idle_start = pool_->idle_seconds();
+  const u64 stolen_start = pool_ != nullptr ? pool_->tasks_stolen() : 0;
+  const f64 idle_start = pool_ != nullptr ? pool_->idle_seconds() : 0;
 
   TaskContext::RunState st;
   st.graph = &graph;
@@ -197,19 +204,41 @@ GraphExecutor::Stats GraphExecutor::run(const TaskGraph& graph,
   }
   dispatch(st, roots);
 
+  // With a pool this thread only waits. Without one it is the executor:
+  // it runs the best-ranked ready node, and parks only while every
+  // unfinished node is a deferred completion still in flight.
+  using Clock = std::chrono::steady_clock;
+  f64 caller_idle = 0;
   std::exception_ptr error;
-  {
-    MutexLock lock(st.mutex);
-    while (st.remaining > 0) st.done_cv.wait(lock);
-    stats.nodes_executed = st.executed;
-    stats.nodes_skipped = st.skipped;
-    stats.frontier_high_water = st.frontier_high_water;
-    error = st.first_error;
+  for (;;) {
+    u32 next = 0;
+    {
+      MutexLock lock(st.mutex);
+      while (st.remaining > 0 && (pool_ != nullptr || st.ready.empty())) {
+        const auto parked = Clock::now();
+        st.done_cv.wait(lock);
+        caller_idle +=
+            std::chrono::duration<f64>(Clock::now() - parked).count();
+      }
+      if (st.remaining == 0) {
+        stats.nodes_executed = st.executed;
+        stats.nodes_skipped = st.skipped;
+        stats.frontier_high_water = st.frontier_high_water;
+        error = st.first_error;
+        break;
+      }
+      next = st.take_best();
+    }
+    exec_node(st, next);
   }
-  // Deltas over the borrowed pool: exact while the engine owns its pool
-  // (the intended wiring), approximate if callers share one.
-  stats.tasks_stolen = pool_->tasks_stolen() - stolen_start;
-  stats.idle_seconds = pool_->idle_seconds() - idle_start;
+  if (pool_ != nullptr) {
+    // Deltas over the borrowed pool: exact while the engine owns its pool
+    // (the intended wiring), approximate if callers share one.
+    stats.tasks_stolen = pool_->tasks_stolen() - stolen_start;
+    stats.idle_seconds = pool_->idle_seconds() - idle_start;
+  } else {
+    stats.idle_seconds = caller_idle;
+  }
   if (error) std::rethrow_exception(error);
   return stats;
 }

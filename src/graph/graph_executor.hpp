@@ -1,14 +1,22 @@
-// Topological scheduler for TaskGraph over a WorkStealingPool.
+// Topological scheduler for TaskGraph, on a WorkStealingPool or on the
+// calling thread.
 //
 // run() releases every zero-in-degree node, and each completing node
 // releases the dependents it was the last blocker for. Released nodes wait
 // in one ready min-heap per run, keyed on (order_rank, node id): order_rank
-// is a run-wide priority, so whenever a pool worker picks up work it starts
-// the best-ranked node that is ready *now* — a flush released late still
-// runs ahead of every higher-ranked compute already waiting. IO nodes call
-// TaskContext::defer() to complete asynchronously from an
-// IoRequest::on_settle hook instead of blocking a worker, so the whole
-// ready frontier of transfers is queued on the IoScheduler at once.
+// is a run-wide priority, so whenever a thread picks up work it starts the
+// best-ranked node that is ready *now* — a flush released late still runs
+// ahead of every higher-ranked compute already waiting.
+//
+// With a pool, each release queues one pool task per node. Without one,
+// run() itself drains the ready heap on the calling thread and parks on a
+// condition variable while only deferred completions are outstanding; a
+// completion firing on another thread (an IoScheduler settle hook) only
+// releases dependents and wakes the caller, so node bodies never run there
+// and no thread is spawned. IO nodes call TaskContext::defer() to complete
+// asynchronously from an IoRequest::on_settle hook instead of blocking
+// their thread, so every ready transfer is queued on the IoScheduler at
+// once.
 //
 // Failure semantics: the first node error is recorded, the run flips to
 // cancelled (TaskContext::cancelled() turns true, unstarted nodes are
@@ -75,16 +83,20 @@ class GraphExecutor {
     /// frontier the pool (and through the IO nodes, the IoScheduler)
     /// actually saw.
     u64 frontier_high_water = 0;
-    u64 tasks_stolen = 0;  ///< pool cross-deque pops during the run
-    f64 idle_seconds = 0;  ///< real seconds pool workers spent parked
+    /// Pool cross-deque pops during the run (always 0 without a pool).
+    u64 tasks_stolen = 0;
+    /// Real seconds the executing threads spent parked with no ready node:
+    /// pool workers with a pool, the calling thread without one.
+    f64 idle_seconds = 0;
   };
 
-  /// The pool is borrowed, not owned: engines keep one across iterations
-  /// so workers are not respawned per run.
-  explicit GraphExecutor(WorkStealingPool& pool) : pool_(&pool) {}
+  /// `pool` is borrowed, not owned (engines keep one across iterations so
+  /// workers are not respawned per run). Null runs every node on the
+  /// thread that calls run().
+  explicit GraphExecutor(WorkStealingPool* pool) : pool_(pool) {}
 
   /// Execute `graph` to completion and return the run's counters.
-  /// Validates first (cycles never reach the pool). `on_cancel`, when
+  /// Validates first (a cyclic graph never runs). `on_cancel`, when
   /// set, fires exactly once on the first node failure, outside all
   /// executor locks. Rethrows the first error after every node settled.
   Stats run(const TaskGraph& graph, std::function<void()> on_cancel = {});
@@ -92,7 +104,8 @@ class GraphExecutor {
  private:
   friend class TaskContext;
 
-  /// Queue `count` pool tasks, one per node just released.
+  /// Queue `count` pool tasks, one per node just released; without a pool,
+  /// wake the calling thread instead.
   static void dispatch(TaskContext::RunState& st, std::size_t count);
   /// Pool task body: pop the best-ranked ready node and execute it.
   static void run_next(TaskContext::RunState& st);
@@ -100,7 +113,7 @@ class GraphExecutor {
   static void finish_node(TaskContext::RunState& st, u32 id,
                           std::exception_ptr error);
 
-  WorkStealingPool* pool_;
+  WorkStealingPool* pool_;  ///< null: run() executes nodes itself
 };
 
 }  // namespace mlpo

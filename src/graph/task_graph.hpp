@@ -2,17 +2,15 @@
 //
 // One training iteration is modelled as a DAG of typed nodes — fetch,
 // compute/update, grad-deposit, flush, checkpoint-prestage — with declared
-// dependency edges per subgroup, instead of the phase-sequential loop with
-// its one-deep prefetch window. The GraphExecutor (graph/graph_executor.hpp)
-// topologically schedules ready nodes onto a work-stealing pool; IO nodes
-// submit through the IoScheduler and complete asynchronously via
-// IoRequest::on_settle, so the scheduler sees the entire frontier of ready
-// transfers at once.
+// dependency edges per subgroup. The paper's fixed prefetch window is just
+// extra edges on the same DAG. The GraphExecutor (graph/graph_executor.hpp)
+// topologically schedules ready nodes onto a work-stealing pool or the
+// calling thread; IO nodes submit through the IoScheduler and complete
+// asynchronously via IoRequest::on_settle.
 //
 // Build-time contract: edges are validated as they are added (bounds,
 // self-edges, duplicates) and validate() rejects cycles via Kahn's
-// algorithm *before* anything executes — a cyclic graph never reaches the
-// pool.
+// algorithm *before* anything executes — a cyclic graph never runs.
 #pragma once
 
 #include <functional>
@@ -38,7 +36,8 @@ enum class NodeKind : u8 {
 
 const char* node_kind_name(NodeKind kind);
 
-/// A node's body. Runs on a pool worker; may call TaskContext::defer() to
+/// A node's body. Runs on a pool worker, or on run()'s calling thread when
+/// the executor has no pool; may call TaskContext::defer() to
 /// complete asynchronously (the IO-node pattern) and should poll
 /// TaskContext::cancelled() inside long loops.
 using NodeWork = std::function<void(TaskContext&)>;

@@ -71,10 +71,7 @@ EngineOptions engine_from_json(const json::Value& section) {
   // policy names: an unknown mode aborts here with the known set.
   if (section.contains("execution")) {
     opts.execution = section.at("execution").as_string();
-    if (opts.execution != "linear" && opts.execution != "graph") {
-      throw std::invalid_argument("config: unknown execution mode '" +
-                                  opts.execution + "' (known: linear graph)");
-    }
+    opts.validate_execution();
   }
   if (section.contains("graph_workers")) {
     opts.graph_workers =

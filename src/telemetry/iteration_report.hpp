@@ -88,11 +88,14 @@ struct IterationReport {
   u64 io_coalesced_batches = 0;  ///< small-transfer batches merged
   u64 io_max_queue_depth = 0;    ///< channel-queue high-water mark so far
 
-  // Graph-execution counters (zero under the linear pipeline). Set by the
-  // engines from GraphExecutor::Stats when execution == "graph".
+  // Update-graph executor counters, set by the offloading engines from
+  // GraphExecutor::Stats under both execution shapes. With no pool (the
+  // "linear" shape) steals are always 0 and idle time is the caller's.
   u64 graph_frontier_high_water = 0;  ///< widest ready frontier seen
   u64 graph_tasks_stolen = 0;         ///< cross-deque pool steals
-  f64 graph_executor_idle_seconds = 0;  ///< real secs pool workers parked
+  /// Real seconds the executing threads spent parked with no ready node:
+  /// pool workers, or the calling thread waiting on in-flight IO.
+  f64 graph_executor_idle_seconds = 0;
 
   // Staging-pool counters (delta of BufferPool::Stats over the update
   // phase). pool_heap_fallbacks is the alloc-churn metric the smoke gate

@@ -1,6 +1,5 @@
 // Concurrency hammer suites: many-thread stress of the primitives whose
-// single-thread unit tests cannot surface ordering bugs — MpmcQueue's
-// notify-after-unlock discipline under a close() race, ThreadPool's
+// single-thread unit tests cannot surface ordering bugs — ThreadPool's
 // drain-then-exit shutdown contract, BufferPool under contention, and the
 // TierStats no-concurrent-transfers contract (TransferScope). These tests
 // are the designated prey for the TSan preset: every suite here runs
@@ -21,99 +20,12 @@
 #include "tiers/memory_tier.hpp"
 #include "tiers/storage_tier.hpp"
 #include "util/aligned_buffer.hpp"
-#include "util/mpmc_queue.hpp"
 #include "util/sim_clock.hpp"
 #include "util/thread_pool.hpp"
 #include "util/work_stealing_pool.hpp"
 
 namespace mlpo {
 namespace {
-
-// Modest sizes on purpose: the suite also runs under TSan's ~5-15x
-// slowdown on single-core CI runners, and a hammer that needs minutes to
-// finish gets skipped or timed out rather than run.
-constexpr int kProducers = 4;
-constexpr int kConsumers = 4;
-constexpr int kItemsPerProducer = 2000;
-
-TEST(MpmcQueueHammer, AllAcceptedItemsArePopped) {
-  MpmcQueue<int> queue(8);
-  std::atomic<u64> accepted{0};
-  std::atomic<u64> popped{0};
-
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&queue, &accepted] {
-      for (int i = 0; i < kItemsPerProducer; ++i) {
-        if (queue.push(i)) accepted.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&queue, &popped] {
-      while (queue.pop().has_value()) {
-        popped.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-
-  // Join producers (the first kProducers threads), then close: consumers
-  // drain the remainder and exit on nullopt.
-  for (int p = 0; p < kProducers; ++p) threads[p].join();
-  queue.close();
-  for (std::size_t t = kProducers; t < threads.size(); ++t) threads[t].join();
-
-  EXPECT_EQ(accepted.load(), u64{kProducers} * kItemsPerProducer);
-  EXPECT_EQ(popped.load(), accepted.load());
-  EXPECT_EQ(queue.size(), 0u);
-}
-
-TEST(MpmcQueueHammer, CloseRacingProducersAndConsumersLosesNothing) {
-  // close() fires mid-stream from its own thread. The contract under race:
-  // every push that returned true is eventually popped, every push after
-  // close returns false, and nobody deadlocks. Repeat the race a few times
-  // since the interesting interleaving (close between a producer's
-  // predicate check and its wait) is rare per run.
-  for (int round = 0; round < 10; ++round) {
-    MpmcQueue<int> queue(4);
-    std::atomic<u64> accepted{0};
-    std::atomic<u64> popped{0};
-    std::atomic<bool> producers_done{false};
-
-    std::vector<std::thread> threads;
-    for (int p = 0; p < kProducers; ++p) {
-      threads.emplace_back([&queue, &accepted] {
-        for (int i = 0; i < 500; ++i) {
-          if (!queue.push(i)) return;  // closed under us — expected
-          accepted.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-    }
-    for (int c = 0; c < kConsumers; ++c) {
-      threads.emplace_back([&queue, &popped] {
-        while (queue.pop().has_value()) {
-          popped.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-    }
-    std::thread closer([&queue, &producers_done] {
-      // Let some traffic through first so the queue is warm when the close
-      // lands; yielding instead of sleeping keeps the test fast under TSan.
-      for (int spin = 0; spin < 50; ++spin) std::this_thread::yield();
-      (void)producers_done.load();
-      queue.close();
-    });
-
-    closer.join();
-    for (auto& t : threads) t.join();
-
-    // pop() drains what close() left behind before returning nullopt, so
-    // nothing accepted may be lost.
-    EXPECT_EQ(popped.load(), accepted.load()) << "round " << round;
-    EXPECT_EQ(queue.size(), 0u);
-    EXPECT_TRUE(queue.closed());
-  }
-}
 
 TEST(ThreadPoolHammer, EverySuccessfulSubmitRedeemsItsFuture) {
   // Shutdown contract: a submit() that did not throw must produce a future

@@ -172,8 +172,9 @@ TEST(Equivalence, DifferentGradientsProduceDifferentStates) {
 
 // --- Graph-vs-linear execution parity ---------------------------------------
 //
-// The task-graph executor reorders and overlaps the same per-subgroup work
-// the linear pipeline serializes; the training state must not notice.
+// The frontier shape ("graph", on a pool) reorders and overlaps the same
+// per-subgroup work the windowed shape ("linear", Alg. 1's window edges on
+// the caller's thread) serializes; the training state must not notice.
 // Sweep: both offloading engines x several placement/ordering combos, plus
 // the elastic layout variant, each compared against the shared baseline
 // digest (graph == linear == baseline, transitively).

@@ -1,8 +1,9 @@
 // TaskGraph + GraphExecutor: build-time edge validation, cycle rejection
 // before execution, topological scheduling, deferred (IO-style) node
 // completion, cancellation mid-graph, and the run counters the engines
-// fold into IterationReport. The WorkStealingPool units at the bottom
-// cover the pool telemetry the executor reports deltas of.
+// fold into IterationReport — on a pool, and on the calling thread with no
+// pool (the engines' "linear" shape). The WorkStealingPool units at the
+// bottom cover the pool telemetry the executor reports deltas of.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -74,14 +75,14 @@ TEST(TaskGraph, CycleRejectedBeforeExecution) {
 
   // run() validates first: a cyclic graph never reaches the pool.
   WorkStealingPool pool(2);
-  GraphExecutor exec(pool);
+  GraphExecutor exec(&pool);
   EXPECT_THROW(exec.run(g), std::logic_error);
   EXPECT_EQ(ran.load(), 0);
 }
 
 TEST(GraphExecutor, EmptyGraphIsANoOp) {
   WorkStealingPool pool(2);
-  GraphExecutor exec(pool);
+  GraphExecutor exec(&pool);
   TaskGraph g;
   const auto stats = exec.run(g);
   EXPECT_EQ(stats.nodes_executed, 0u);
@@ -90,7 +91,7 @@ TEST(GraphExecutor, EmptyGraphIsANoOp) {
 
 TEST(GraphExecutor, ChainRunsInTopologicalOrder) {
   WorkStealingPool pool(4);
-  GraphExecutor exec(pool);
+  GraphExecutor exec(&pool);
   OrderRecorder rec;
   TaskGraph g;
   std::vector<u32> chain;
@@ -110,7 +111,7 @@ TEST(GraphExecutor, ChainRunsInTopologicalOrder) {
 
 TEST(GraphExecutor, DiamondDependenciesRespected) {
   WorkStealingPool pool(4);
-  GraphExecutor exec(pool);
+  GraphExecutor exec(&pool);
   OrderRecorder rec;
   TaskGraph g;
   const u32 top = g.add_node(NodeKind::kFetch, "top", 0, record_work(rec, 0));
@@ -138,7 +139,7 @@ TEST(GraphExecutor, DiamondDependenciesRespected) {
 
 TEST(GraphExecutor, FanOutFrontierHighWaterCountsTheWholeRelease) {
   WorkStealingPool pool(2);
-  GraphExecutor exec(pool);
+  GraphExecutor exec(&pool);
   TaskGraph g;
   const u32 root = g.add_node(NodeKind::kFetch, "root", 0, {});
   constexpr u32 kChildren = 16;
@@ -154,7 +155,7 @@ TEST(GraphExecutor, FanOutFrontierHighWaterCountsTheWholeRelease) {
 
 TEST(GraphExecutor, BarrierNodesWithNoWorkComplete) {
   WorkStealingPool pool(2);
-  GraphExecutor exec(pool);
+  GraphExecutor exec(&pool);
   OrderRecorder rec;
   TaskGraph g;
   const u32 a = g.add_node(NodeKind::kCompute, "a", 0, record_work(rec, 0));
@@ -169,7 +170,7 @@ TEST(GraphExecutor, BarrierNodesWithNoWorkComplete) {
 
 TEST(GraphExecutor, DeferredNodeFinishesFromItsCompletionCallback) {
   WorkStealingPool pool(2);
-  GraphExecutor exec(pool);
+  GraphExecutor exec(&pool);
   OrderRecorder rec;
   TaskGraph g;
 
@@ -209,7 +210,7 @@ TEST(GraphExecutor, DeferredNodeFinishesFromItsCompletionCallback) {
 
 TEST(GraphExecutor, FailureCancelsDownstreamAndRethrows) {
   WorkStealingPool pool(2);
-  GraphExecutor exec(pool);
+  GraphExecutor exec(&pool);
   std::atomic<int> cancel_fired{0};
   std::atomic<bool> downstream_ran{false};
   TaskGraph g;
@@ -239,7 +240,7 @@ TEST(GraphExecutor, FailureCancelsDownstreamAndRethrows) {
 
 TEST(GraphExecutor, CancellationMidGraphSkipsIndependentBranches) {
   WorkStealingPool pool(2);
-  GraphExecutor exec(pool);
+  GraphExecutor exec(&pool);
   TaskGraph g;
   std::atomic<int> late_ran{0};
 
@@ -273,7 +274,7 @@ TEST(GraphExecutor, CancellationMidGraphSkipsIndependentBranches) {
 
 TEST(GraphExecutor, DeferredErrorPropagates) {
   WorkStealingPool pool(2);
-  GraphExecutor exec(pool);
+  GraphExecutor exec(&pool);
   std::atomic<bool> downstream_ran{false};
   // The settle thread is spawned from the main thread (handed the defer
   // callback through a promise) and joined before the test ends, and the
@@ -314,7 +315,7 @@ TEST(GraphExecutor, DeferredErrorPropagates) {
 
 TEST(GraphExecutor, ReusableAcrossRuns) {
   WorkStealingPool pool(2);
-  GraphExecutor exec(pool);
+  GraphExecutor exec(&pool);
   for (int round = 0; round < 3; ++round) {
     TaskGraph g;
     std::atomic<int> ran{0};
@@ -335,7 +336,7 @@ TEST(GraphExecutor, LateReleasedLowRankStartsBeforeQueuedHigherRanks) {
   // one worker is let go, it must start the low-rank node, not the nodes
   // that were queued before it.
   WorkStealingPool pool(2);
-  GraphExecutor exec(pool);
+  GraphExecutor exec(&pool);
   OrderRecorder rec;
   TaskGraph g;
 
@@ -376,6 +377,156 @@ TEST(GraphExecutor, LateReleasedLowRankStartsBeforeQueuedHigherRanks) {
   EXPECT_EQ(stats.nodes_executed, 7u);
   ASSERT_EQ(rec.sequence.size(), 4u);
   EXPECT_EQ(rec.sequence.front(), kLow);
+}
+
+// --- No pool: the calling thread executes ----------------------------------
+
+// Hands a deferred completion to a thread of its own that fires it after a
+// short delay, like an IoScheduler settle hook. `fire_id` is that thread.
+// If the node never ran, the destructor hands over an empty completion so
+// the join cannot hang.
+struct Settler {
+  std::promise<std::function<void(std::exception_ptr)>> handoff;
+  std::thread::id fire_id;
+  std::thread thread;
+
+  explicit Settler(std::exception_ptr error = nullptr,
+                   std::atomic<bool>* fired = nullptr)
+      : thread([this, error, fired] {
+          auto done = handoff.get_future().get();
+          if (!done) return;
+          fire_id = std::this_thread::get_id();
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          if (fired != nullptr) fired->store(true);
+          done(error);
+        }) {}
+  ~Settler() {
+    try {
+      handoff.set_value(nullptr);
+    } catch (const std::future_error&) {
+      // Already handed over by the node.
+    }
+    thread.join();
+  }
+  NodeWork work() {
+    return [this](TaskContext& tc) { handoff.set_value(tc.defer()); };
+  }
+};
+
+TEST(GraphExecutorNoPool, EveryNodeRunsOnTheCallersThread) {
+  GraphExecutor exec(nullptr);
+  std::mutex mutex;
+  std::vector<std::thread::id> ran_on;
+  const auto work = [&](TaskContext&) {
+    std::lock_guard<std::mutex> lock(mutex);
+    ran_on.push_back(std::this_thread::get_id());
+  };
+  TaskGraph g;
+  const u32 a = g.add_node(NodeKind::kFetch, "a", 0, work);
+  const u32 b = g.add_node(NodeKind::kCompute, "b", 1, work);
+  const u32 c = g.add_node(NodeKind::kCompute, "c", 2, work);
+  const u32 d = g.add_node(NodeKind::kFlush, "d", 3, work);
+  g.add_edge(a, b);
+  g.add_edge(a, c);
+  g.add_edge(b, d);
+  g.add_edge(c, d);
+
+  const auto stats = exec.run(g);
+  EXPECT_EQ(stats.nodes_executed, 4u);
+  EXPECT_EQ(stats.tasks_stolen, 0u);
+  ASSERT_EQ(ran_on.size(), 4u);
+  for (const auto& id : ran_on) EXPECT_EQ(id, std::this_thread::get_id());
+}
+
+TEST(GraphExecutorNoPool, RemoteCompletionReleasesDependentsOntoTheCaller) {
+  GraphExecutor exec(nullptr);
+  Settler settler;
+  std::thread::id after_ran_on;
+  TaskGraph g;
+  const u32 io = g.add_node(NodeKind::kFetch, "io", 0, settler.work());
+  const u32 after = g.add_node(
+      NodeKind::kCompute, "after", 1,
+      [&after_ran_on](TaskContext&) {
+        after_ran_on = std::this_thread::get_id();
+      });
+  g.add_edge(io, after);
+
+  const auto stats = exec.run(g);
+  EXPECT_EQ(stats.nodes_executed, 2u);
+  EXPECT_EQ(after_ran_on, std::this_thread::get_id());
+  EXPECT_NE(after_ran_on, settler.fire_id);
+  // The caller was parked while the completion was in flight.
+  EXPECT_GT(stats.idle_seconds, 0.0);
+}
+
+TEST(GraphExecutorNoPool, ReadyNodesRunInRankOrder) {
+  GraphExecutor exec(nullptr);
+  OrderRecorder rec;
+  TaskGraph g;
+  // Roots added out of rank order, plus nodes released by `first` whose
+  // ranks straddle the roots still waiting: the caller always starts the
+  // best-ranked ready node.
+  const u32 first = g.add_node(NodeKind::kFetch, "first", 0,
+                               record_work(rec, 0));
+  g.add_node(NodeKind::kCompute, "r5", 5, record_work(rec, 5));
+  g.add_node(NodeKind::kCompute, "r3", 3, record_work(rec, 3));
+  const u32 r1 = g.add_node(NodeKind::kFlush, "r1", 1, record_work(rec, 1));
+  const u32 r4 = g.add_node(NodeKind::kFlush, "r4", 4, record_work(rec, 4));
+  g.add_node(NodeKind::kCompute, "r2", 2, record_work(rec, 2));
+  g.add_edge(first, r1);
+  g.add_edge(first, r4);
+
+  exec.run(g);
+  EXPECT_EQ(rec.sequence, (std::vector<u32>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(GraphExecutorNoPool, FirstErrorRethrownOnlyAfterEveryNodeSettled) {
+  GraphExecutor exec(nullptr);
+  std::atomic<bool> io_settled{false};
+  Settler settler(nullptr, &io_settled);
+  std::atomic<bool> downstream_ran{false};
+  TaskGraph g;
+  // The deferred node starts first (rank 0); the failure follows while its
+  // completion is still in flight.
+  const u32 io = g.add_node(NodeKind::kFetch, "io", 0, settler.work());
+  g.add_node(NodeKind::kCompute, "boom", 1, [](TaskContext&) {
+    throw std::runtime_error("boom");
+  });
+  const u32 after = g.add_node(NodeKind::kCompute, "after", 2,
+                               [&downstream_ran](TaskContext&) {
+                                 downstream_ran.store(true);
+                               });
+  g.add_edge(io, after);
+
+  try {
+    exec.run(g);
+    FAIL() << "run() must rethrow the first node error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "boom");
+    EXPECT_TRUE(io_settled.load()) << "rethrown before the IO node settled";
+  }
+  EXPECT_FALSE(downstream_ran.load());
+}
+
+TEST(GraphExecutorNoPool, OnCancelFiresExactlyOnce) {
+  GraphExecutor exec(nullptr);
+  // A second failure arrives from the deferred completion after the first
+  // one already cancelled the run.
+  Settler settler(std::make_exception_ptr(std::runtime_error("second")));
+  std::atomic<int> cancel_fired{0};
+  TaskGraph g;
+  g.add_node(NodeKind::kFetch, "io", 0, settler.work());
+  g.add_node(NodeKind::kCompute, "boom", 1, [](TaskContext&) {
+    throw std::runtime_error("first");
+  });
+
+  try {
+    exec.run(g, [&cancel_fired] { ++cancel_fired; });
+    FAIL() << "run() must rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "first");
+  }
+  EXPECT_EQ(cancel_fired.load(), 1);
 }
 
 // --- WorkStealingPool units -------------------------------------------------

@@ -1,13 +1,18 @@
 // OffloadEngine: initialization/distribution, the update pipeline, caching
 // behaviour, numerical correctness against a hand-rolled reference, option
-// validation, and graph mode over a real async (io_uring) file tier.
+// validation, the "linear" shape's flush window, and graph mode over a real
+// async (io_uring) file tier.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <filesystem>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 
@@ -439,6 +444,158 @@ TEST(OffloadEngine, DistributionConservesTotalBytes) {
     EXPECT_GT(dist.host_sim_bytes, 0u) << "cache keeps the tail resident";
   }
   EXPECT_EQ(engine.host_resident().size(), 3u);
+}
+
+// --- The "linear" shape's flush window ---------------------------------------
+
+// Tier events in the order they happened, shared by every path of a rig:
+// "R<key>" when a read is dispatched to the tier, "W<key>" once a write has
+// landed. arm() holds the first write back until `reads` reads have been
+// dispatched or `patience` has passed, whichever comes first; later writes
+// run free.
+struct TierEventLog {
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::vector<std::string> events;
+  u64 reads_dispatched = 0;
+  u64 hold_for_reads = 0;
+  std::chrono::milliseconds patience{0};
+
+  void arm(u64 reads, std::chrono::milliseconds wait) {
+    std::lock_guard<std::mutex> lock(mutex);
+    events.clear();
+    reads_dispatched = 0;
+    hold_for_reads = reads;
+    patience = wait;
+  }
+  void read_dispatched(const std::string& key) {
+    std::lock_guard<std::mutex> lock(mutex);
+    events.push_back("R" + key);
+    ++reads_dispatched;
+    cv.notify_all();
+  }
+  void before_write() {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait_for(lock, patience,
+                [this] { return reads_dispatched >= hold_for_reads; });
+    hold_for_reads = 0;
+  }
+  void write_landed(const std::string& key) {
+    std::lock_guard<std::mutex> lock(mutex);
+    events.push_back("W" + key);
+  }
+  /// Index of `event` in the log; fails the test if it never happened.
+  std::size_t at(const std::string& event) {
+    std::lock_guard<std::mutex> lock(mutex);
+    const auto it = std::find(events.begin(), events.end(), event);
+    if (it == events.end()) {
+      ADD_FAILURE() << event << " never happened";
+      return 0;
+    }
+    return static_cast<std::size_t>(it - events.begin());
+  }
+};
+
+class EventLogTier final : public StorageTier {
+ public:
+  EventLogTier(std::shared_ptr<StorageTier> inner, TierEventLog& log)
+      : inner_(std::move(inner)), log_(&log) {}
+
+  const std::string& name() const override { return inner_->name(); }
+  void write(const std::string& key, std::span<const u8> data,
+             u64 sim_bytes = 0) override {
+    log_->before_write();
+    inner_->write(key, data, sim_bytes);
+    log_->write_landed(key);
+  }
+  void read(const std::string& key, std::span<u8> out,
+            u64 sim_bytes = 0) override {
+    log_->read_dispatched(key);
+    inner_->read(key, out, sim_bytes);
+  }
+  void peek(const std::string& key, std::span<u8> out) override {
+    inner_->peek(key, out);
+  }
+  bool exists(const std::string& key) const override {
+    return inner_->exists(key);
+  }
+  u64 object_size(const std::string& key) const override {
+    return inner_->object_size(key);
+  }
+  void erase(const std::string& key) override { inner_->erase(key); }
+  f64 read_bandwidth() const override { return inner_->read_bandwidth(); }
+  f64 write_bandwidth() const override { return inner_->write_bandwidth(); }
+  bool persistent() const override { return inner_->persistent(); }
+
+ private:
+  std::shared_ptr<StorageTier> inner_;
+  TierEventLog* log_;
+};
+
+// Pins the host-buffer budget of the "linear" shape from the tier's event
+// order: under "ascending" every position flushes itself, and a state read
+// for position p is not dispatched before the write of position
+// p - prefetch_ahead - 2 has landed. The first write is held back until
+// every read is out: the "graph" shape (no window) gets there, so every
+// read precedes every write; under "linear" the budget keeps the later
+// reads back until the hold gives up, and without it they would all go out
+// ahead of that write.
+TEST(OffloadEngineWindow, LinearReadsWaitForTheFlushBudgetGraphReadsDoNot) {
+  for (const u32 ahead : {1u, 2u}) {
+    for (const std::string execution : {"linear", "graph"}) {
+      SCOPED_TRACE("execution=" + execution +
+                   " prefetch_ahead=" + std::to_string(ahead));
+      SimClock clock{20000.0};
+      GradSource grads;
+      TierEventLog log;
+      VirtualTier vtier;
+      ThrottleSpec spec{4e6, 3e6};
+      spec.chunk_bytes = 16 * KiB;
+      for (const char* name : {"nvme", "pfs"}) {
+        vtier.add_path(std::make_shared<EventLogTier>(
+            std::make_shared<ThrottledTier>(
+                name, std::make_shared<MemoryTier>(name), clock, spec),
+            log));
+      }
+      IoScheduler::Config cfg;
+      cfg.queue_depth = 128;
+      IoScheduler io(clock, &vtier, nullptr, nullptr, cfg);
+      EngineContext ctx;
+      ctx.clock = &clock;
+      ctx.vtier = &vtier;
+      ctx.io = &io;
+      ctx.grads = &grads;
+      auto opts = EngineRig::fast_options(EngineOptions::mlp_offload());
+      opts.update_order_policy = "ascending";
+      opts.prefetch_ahead = ahead;
+      opts.execution = execution;
+      opts.graph_workers = 2;
+      OffloadEngine engine(ctx, opts, EngineRig::layout());
+      engine.initialize();
+      for (u32 id = 0; id < kNumSubgroups; ++id) {
+        engine.deposit_gradients_async(0, id, true, true);
+      }
+      engine.wait_gradient_io();
+
+      log.arm(kNumSubgroups, execution == "graph"
+                                 ? std::chrono::milliseconds(20000)
+                                 : std::chrono::milliseconds(300));
+      engine.run_update(0);
+      for (u32 p = 0; p < kNumSubgroups; ++p) {
+        const std::size_t read = log.at("R" + Subgroup::key(0, p));
+        if (execution == "linear") {
+          if (p < ahead + 2) continue;
+          EXPECT_LT(log.at("W" + Subgroup::key(0, p - ahead - 2)), read)
+              << "read of position " << p;
+        } else {
+          for (u32 q = 0; q < kNumSubgroups; ++q) {
+            EXPECT_LT(read, log.at("W" + Subgroup::key(0, q)))
+                << "read " << p << " vs write " << q;
+          }
+        }
+      }
+    }
+  }
 }
 
 // --- Graph mode over a real async tier --------------------------------------

@@ -1,4 +1,4 @@
-// PhaseTimer, IterationReport derived metrics, TablePrinter formatting.
+// IterationReport derived metrics, TablePrinter formatting.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -6,37 +6,11 @@
 #include <sstream>
 
 #include "telemetry/iteration_report.hpp"
-#include "telemetry/phase_timer.hpp"
 #include "telemetry/table_printer.hpp"
 #include "telemetry/trace_csv.hpp"
 
 namespace mlpo {
 namespace {
-
-TEST(PhaseTimer, AccumulatesScopedTime) {
-  SimClock clock(10000.0);
-  PhaseTimer timer(clock);
-  {
-    PhaseTimer::Scope scope(timer, Phase::kForward);
-    clock.sleep_for(5.0);
-  }
-  {
-    PhaseTimer::Scope scope(timer, Phase::kUpdate);
-    clock.sleep_for(10.0);
-  }
-  EXPECT_GE(timer.total(Phase::kForward), 4.5);
-  EXPECT_GE(timer.total(Phase::kUpdate), 9.5);
-  EXPECT_EQ(timer.total(Phase::kBackward), 0.0);
-  EXPECT_GE(timer.iteration_total(), 14.0);
-  timer.reset();
-  EXPECT_EQ(timer.iteration_total(), 0.0);
-}
-
-TEST(PhaseTimer, PhaseNames) {
-  EXPECT_STREQ(phase_name(Phase::kForward), "forward");
-  EXPECT_STREQ(phase_name(Phase::kBackward), "backward");
-  EXPECT_STREQ(phase_name(Phase::kUpdate), "update");
-}
 
 TEST(IterationReport, UpdateThroughputInMparams) {
   IterationReport r;

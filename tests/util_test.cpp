@@ -1,4 +1,4 @@
-// ThreadPool, MpmcQueue, BufferPool, RunningStats, percentile, Histogram.
+// ThreadPool, BufferPool, RunningStats, percentile, Histogram.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "util/aligned_buffer.hpp"
-#include "util/mpmc_queue.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
@@ -58,57 +57,6 @@ TEST(ThreadPool, ManyConcurrentSubmits) {
   }
   for (auto& f : futs) f.get();
   EXPECT_EQ(count.load(), 1000);
-}
-
-TEST(MpmcQueue, ZeroCapacityIsRejected) {
-  // Regression: a zero-capacity queue used to construct fine and then
-  // deadlock every push() forever (not_full_ can never be satisfied).
-  EXPECT_THROW(MpmcQueue<int>(0), std::invalid_argument);
-}
-
-TEST(MpmcQueue, FifoSingleThread) {
-  MpmcQueue<int> q(16);
-  for (int i = 0; i < 10; ++i) EXPECT_TRUE(q.push(i));
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(q.pop().value(), i);
-}
-
-TEST(MpmcQueue, CloseDrainsThenEnds) {
-  MpmcQueue<int> q(16);
-  q.push(1);
-  q.push(2);
-  q.close();
-  EXPECT_FALSE(q.push(3));
-  EXPECT_EQ(q.pop().value(), 1);
-  EXPECT_EQ(q.pop().value(), 2);
-  EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(MpmcQueue, ConcurrentProducersConsumers) {
-  MpmcQueue<int> q(8);
-  constexpr int kPerProducer = 500;
-  constexpr int kProducers = 4;
-  std::atomic<i64> total{0};
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&q] {
-      for (int i = 1; i <= kPerProducer; ++i) q.push(i);
-    });
-  }
-  std::atomic<int> consumed{0};
-  for (int c = 0; c < 3; ++c) {
-    threads.emplace_back([&] {
-      while (auto v = q.pop()) {
-        total += *v;
-        consumed.fetch_add(1);
-      }
-    });
-  }
-  for (int p = 0; p < kProducers; ++p) threads[p].join();
-  q.close();
-  for (int c = 0; c < 3; ++c) threads[kProducers + c].join();
-  EXPECT_EQ(consumed.load(), kProducers * kPerProducer);
-  EXPECT_EQ(total.load(),
-            static_cast<i64>(kProducers) * kPerProducer * (kPerProducer + 1) / 2);
 }
 
 TEST(AlignedBuffer, AlignmentAndZeroInit) {
